@@ -259,14 +259,18 @@ def run_oracle_validation(config: ExperimentConfig,
 
     Collision rows check the reselection-instant reading against the pairwise
     analytic value with tolerance max(15% relative, 0.005 absolute); PRR rows
-    use +/-0.02 absolute.  Returns the report path and overall pass/fail; a
-    failure also prints the calibration assumption ledger.
+    use +/-0.02 absolute.  Each row carries two standard errors: `std_error`
+    treats every reselection (or transmission) as independent, `cluster_se`
+    comes from the spread of per-episode rates and is the one to read when
+    events within an episode are correlated.  Neither enters the tolerance.
+    Returns the report path and overall pass/fail; a failure also prints the
+    calibration assumption ledger.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     rows: list[list] = []
     all_pass = True
     print(f"{'case':<18} {'quantity':<10} {'analytic':>10} {'simulated':>10} "
-          f"{'+/-95%':>9} {'error':>9} {'tol':>9}  status")
+          f"{'+/-95%':>9} {'cluster_se':>10} {'error':>9} {'tol':>9}  status")
     for k, case in enumerate(default_oracle_cases()):
         sps = case.sps
         window = sps.selection_window
@@ -286,24 +290,26 @@ def run_oracle_validation(config: ExperimentConfig,
 
         checks = [
             ("delta_col", delta_ana, col.reselection_collision,
-             col.reselection_se, max(0.15 * delta_ana, 0.005)),
-            ("prr", prr_ana, prr.value, prr.std_error, 0.02),
+             col.reselection_se, col.cluster_se, max(0.15 * delta_ana, 0.005)),
+            ("prr", prr_ana, prr.value, prr.std_error, prr.cluster_se, 0.02),
         ]
-        for quantity, analytic, simulated, se, tol in checks:
+        for quantity, analytic, simulated, se, cluster_se, tol in checks:
             error = abs(simulated - analytic)
             ok = error <= tol
             all_pass &= ok
             ci = 1.96 * se
             status = "pass" if ok else "FAIL"
             print(f"{case.label:<18} {quantity:<10} {analytic:>10.5f} "
-                  f"{simulated:>10.5f} {ci:>9.5f} {error:>9.5f} {tol:>9.5f}  "
+                  f"{simulated:>10.5f} {ci:>9.5f} {cluster_se:>10.5f} "
+                  f"{error:>9.5f} {tol:>9.5f}  "
                   f"{status}")
             rows.append([case.label, quantity, _fmt(analytic),
-                         _fmt(simulated), _fmt(se), _fmt(error), _fmt(tol),
-                         status])
+                         _fmt(simulated), _fmt(se), _fmt(cluster_se),
+                         _fmt(error), _fmt(tol), status])
     if not all_pass:
         print(ASSUMPTION_LEDGER)
     path = _write_csv(out / "oracle_report.csv",
                       ["case", "quantity", "analytic", "simulated",
-                       "std_error", "error", "tolerance", "status"], rows)
+                       "std_error", "cluster_se", "error", "tolerance",
+                       "status"], rows)
     return path, all_pass

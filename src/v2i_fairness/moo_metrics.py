@@ -26,18 +26,24 @@ def _as_points(front) -> np.ndarray:
     return pts
 
 
+def dominance_matrix(points: np.ndarray) -> np.ndarray:
+    """(n, n) booleans: [i, j] is True when row i dominates row j (minimisation).
+
+    `le[i, j]` (row i <= row j in every objective) is built one objective at
+    a time, so only (n, n) arrays are allocated; i dominates j when
+    `le[i, j]` holds and `le[j, i]` does not.  Rows must be finite.
+    """
+    pts = np.asarray(points, dtype=float)
+    le = np.less_equal.outer(pts[:, 0], pts[:, 0])
+    for k in range(1, pts.shape[1]):
+        le &= np.less_equal.outer(pts[:, k], pts[:, k])
+    return le & ~le.T
+
+
 def nondominated(points: np.ndarray) -> np.ndarray:
-    """Rows of `points` not dominated by any other row (minimisation)."""
-    pts = _as_points(points)
-    pts = np.unique(pts, axis=0)
-    keep = np.ones(len(pts), dtype=bool)
-    for i, p in enumerate(pts):
-        if not keep[i]:
-            continue
-        dominated = np.all(pts <= p, axis=1) & np.any(pts < p, axis=1)
-        if np.any(dominated & keep):
-            keep[i] = False
-    return pts[keep]
+    """Distinct rows of `points` that no other row dominates, sorted by row."""
+    pts = np.unique(_as_points(points), axis=0)
+    return pts[~dominance_matrix(pts).any(axis=0)]
 
 
 def hypervolume(front, reference_point) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .moo_metrics import MetricContext, nondominated
+from .moo_metrics import MetricContext, dominance_matrix, nondominated
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -103,12 +103,9 @@ def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
         raise ValueError(f"expected non-empty (M, N) objectives, got {obj.shape}")
     if not np.all(np.isfinite(obj)):
         raise ValueError("objectives contain non-finite values")
-    le = np.all(obj[:, None, :] <= obj[None, :, :], axis=2)
-    lt = np.any(obj[:, None, :] < obj[None, :, :], axis=2)
-    dominates = le & lt                        # [i, j]: i dominates j
-    n_dominators = dominates.sum(axis=0)
+    dominates = dominance_matrix(obj)          # [i, j]: i dominates j
+    remaining = dominates.sum(axis=0)          # dominators not yet in a front
     fronts: list[np.ndarray] = []
-    remaining = n_dominators.copy()
     assigned = np.zeros(len(obj), dtype=bool)
     while not assigned.all():
         current = np.flatnonzero((remaining == 0) & ~assigned)
@@ -236,14 +233,16 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
         _evaluate(offspring, evaluator)
         population = select_survivors(population + offspring, m)
 
-        objectives = np.array([ind.objectives for ind in population])
-        snapshots.append(nondominated(objectives))
-        sums.append(float(objectives.sum(axis=1).min()))
-        feasibles.append(int(np.sum(np.all(objectives <= config.threshold, axis=1))))
+        if record_metrics:
+            objectives = np.array([ind.objectives for ind in population])
+            snapshots.append(nondominated(objectives))
+            sums.append(float(objectives.sum(axis=1).min()))
+            feasibles.append(int(np.sum(np.all(objectives <= config.threshold,
+                                               axis=1))))
 
     context = metric_context
     history: list[GenerationStats] = []
-    if record_metrics and snapshots:
+    if snapshots:
         if context is None:
             context = MetricContext.from_initial(initial_objectives, snapshots[-1])
         for gen, front in enumerate(snapshots, start=1):

@@ -148,6 +148,35 @@ def test_fig3_emits_both_csvs(tmp_path):
     assert len(history) == config.ga.max_generations
 
 
+# Recorded with the row-by-row `nondominated` and the (n, n, d) sort that the
+# dominance matrix replaced; the optimizer must reach the same answers.
+PINNED_WINDOWS = [(14, 14, 11, 8), (14, 14, 15, 12), (15, 9, 10, 1),
+                  (13, 13, 10, 7), (12, 10, 9, 6)]
+PINNED_SUMS = [0.014585455200338618, 0.017753480297210286, 0.012210444247884075,
+               0.011033982240116008, 0.016624557743965013]
+PINNED_HV = [3.504112961126197e-07, 3.8416505289008057e-07,
+             4.5387352217294977e-07, 4.5646481931039984e-07,
+             4.6223542290902406e-07]
+
+
+def test_small_config_results_are_pinned(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        ga=replace(DEFAULT_GA, population_size=20, max_generations=5), seed=1)
+    optima = [optimize_point(config, v, i) for i, v in enumerate(config.sweep)]
+    assert [o.windows for o in optima] == PINNED_WINDOWS
+    np.testing.assert_allclose([o.objective_sum for o in optima], PINNED_SUMS,
+                               rtol=1e-12, atol=0)
+    fig5 = read_csv(run_fig5_comparison(config, tmp_path))
+    assert [r["objective_sum"] for r in fig5 if r["scheme"] == "optimal"] == \
+        [format(x, ".12g") for x in PINNED_SUMS]
+    history = []
+    monkeypatch.setattr(experiments, "write_history",
+                        lambda stats, path: history.extend(stats))
+    run_fig3_metrics(config, tmp_path)
+    np.testing.assert_allclose([s.hypervolume for s in history], PINNED_HV,
+                               rtol=1e-12, atol=0)
+
+
 def test_fig3_rerun_is_byte_identical(tmp_path):
     first = run_fig3_metrics(tiny_config(), tmp_path / "a").read_bytes()
     second = run_fig3_metrics(tiny_config(), tmp_path / "b").read_bytes()
@@ -161,7 +190,8 @@ def test_oracle_report_structure(tmp_path, capsys):
     rows = read_csv(path)
     assert len(rows) == 10          # five cases x (collision, prr)
     assert list(rows[0]) == ["case", "quantity", "analytic", "simulated",
-                             "std_error", "error", "tolerance", "status"]
+                             "std_error", "cluster_se", "error", "tolerance",
+                             "status"]
     by_case = {(r["case"], r["quantity"]): r for r in rows}
     # degenerate cases are exact at any budget
     single = by_case[("single-vehicle", "prr")]

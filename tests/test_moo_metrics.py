@@ -3,6 +3,7 @@ import pytest
 
 from v2i_fairness.moo_metrics import (
     MetricContext,
+    dominance_matrix,
     generational_distance,
     hypervolume,
     inverted_generational_distance,
@@ -39,6 +40,41 @@ def test_nondominated_drops_dominated_and_duplicates():
 def test_nondominated_single_point():
     out = nondominated(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(out, [[3.0, 4.0]])
+
+
+def loop_nondominated(points) -> np.ndarray:
+    """The row-by-row filter `nondominated` used before the dominance matrix."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    keep = np.ones(len(pts), dtype=bool)
+    for i, p in enumerate(pts):
+        if not keep[i]:
+            continue
+        dominated = np.all(pts <= p, axis=1) & np.any(pts < p, axis=1)
+        if np.any(dominated & keep):
+            keep[i] = False
+    return pts[keep]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_nondominated_matches_loop_on_tied_integers(dim, seed):
+    """Integers in 0..3 give duplicate rows and per-objective ties."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(int(rng.integers(2, 80)), dim)).astype(float)
+    np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
+
+
+def test_nondominated_all_equal_rows_collapse_to_one():
+    out = nondominated(np.full((5, 4), 2.0))
+    np.testing.assert_array_equal(out, [[2.0, 2.0, 2.0, 2.0]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dominance_matrix_matches_pairwise(seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(30, 3)).astype(float)
+    expected = [[bool(np.all(a <= b) and np.any(a < b)) for b in pts] for a in pts]
+    np.testing.assert_array_equal(dominance_matrix(pts), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from v2i_fairness import moo_metrics, nsga2
 from v2i_fairness.errors import ConfigError
 from v2i_fairness.nsga2 import (
     GAConfig,
@@ -224,6 +225,23 @@ def test_sort_matches_brute_force_200_points(seed):
         assert set(got) == want
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("seed", range(10))
+def test_sort_matches_brute_force_in_index_order_with_ties(dim, seed):
+    """Integers in 0..3 give duplicate rows and per-objective ties."""
+    rng = np.random.default_rng(seed)
+    objs = rng.integers(0, 4, size=(int(rng.integers(2, 80)), dim)).astype(float)
+    fronts = non_dominated_sort(objs)
+    expected = brute_force_fronts([tuple(row) for row in objs])
+    assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
+
+
+def test_sort_single_row_and_all_equal_rows():
+    assert [f.tolist() for f in non_dominated_sort(np.array([[1.0, 2.0]]))] == [[0]]
+    fronts = non_dominated_sort(np.full((6, 4), 3.0))
+    assert [f.tolist() for f in fronts] == [[0, 1, 2, 3, 4, 5]]
+
+
 def test_sort_partitions_population():
     rng = np.random.default_rng(123)
     objs = rng.uniform(0, 1, size=(64, 4))
@@ -359,6 +377,24 @@ def test_run_per_objective_minima_nonincreasing():
     final = np.array([ind.objectives for ind in out.population])
     all_evaluated = np.vstack(seen)
     np.testing.assert_allclose(final.min(axis=0), all_evaluated.min(axis=0))
+
+
+def test_run_without_metrics_takes_no_front_snapshots(monkeypatch):
+    calls = []
+    original = moo_metrics.nondominated
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(nsga2, "nondominated", counting)
+    monkeypatch.setattr(moo_metrics, "nondominated", counting)
+    cfg = GAConfig(population_size=20, max_generations=6, rng_seed=4)
+    out = run(cfg, (0, 15), 4, toy_evaluator, record_metrics=False)
+    assert calls == []
+    assert out.history == []
+    run(cfg, (0, 15), 4, toy_evaluator, record_metrics=True)
+    assert len(calls) >= cfg.max_generations     # the counter does see snapshots
 
 
 def test_run_emits_one_record_per_generation():
