@@ -1,11 +1,13 @@
-"""Link-level channel model: Doppler shift, Jakes correlation, AR(1) fading, Shannon rate.
+"""Link-level channel model: SNR and spectral efficiency, plus Jakes fading kernels.
 
-The channel gain h evolves as a first-order autoregressive process
+The fairness index reads the spectral efficiency log2(1 + SNR) of each link
+at |h| = 1.  The fading kernels below are library functions that no verb
+reads: the channel gain h can evolve as a first-order autoregressive process
     h(t) = rho * h(t - dt) + e(t) * sqrt(1 - rho^2),
 where e(t) is circularly-symmetric complex Gaussian with unit variance and the
 correlation coefficient rho = J0(2*pi*f_d*dt) follows the Jakes Doppler
 spectrum.  With unit-variance innovations the process is stationary with
-E[|h|^2] = 1, so |h|^2 enters the Shannon SNR directly as a power ratio.
+E[|h|^2] = 1, so |h|^2 enters the SNR directly as a power ratio.
 """
 
 from __future__ import annotations
@@ -18,56 +20,21 @@ import numpy as np
 from .errors import ConfigError
 from .util import as_rng
 
-# c / 5.9 GHz: ITS band carrier wavelength in metres.
-DEFAULT_WAVELENGTH = 299792458.0 / 5.9e9
-
 
 @dataclass(frozen=True)
 class ChannelParams:
     """Static link parameters; defaults are working assumptions, not measured values."""
 
-    bandwidth: float = 1e6            # B, Hz
     tx_power: float = 1.0             # p, W
     noise_power: float = 1e-3         # sigma^2, W
     path_loss_exponent: float = 2.0   # dimensionless, free-space-like
-    wavelength: float = DEFAULT_WAVELENGTH  # m
-    angle_cos: float = 1.0            # cos(theta) between motion and propagation
-    step_interval: float = 1e-3       # dt between AR(1) updates, s
 
     def __post_init__(self) -> None:
-        for key in ("bandwidth", "tx_power", "noise_power", "wavelength", "step_interval"):
+        for key in ("tx_power", "noise_power"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"channel.{key}", "must be positive")
         if self.path_loss_exponent < 0:
             raise ConfigError("channel.path_loss_exponent", "must be non-negative")
-        if abs(self.angle_cos) > 1:
-            raise ConfigError("channel.angle_cos", "must lie in [-1, 1]")
-
-    @property
-    def doppler_frequency(self) -> float:
-        """Doppler shift in Hz for a vehicle moving at 1 m/s (scale by speed)."""
-        return doppler_shift(1.0, self.wavelength, self.angle_cos)
-
-    def correlation_at(self, speed: float) -> float:
-        """AR(1) coefficient for one step_interval at the given speed (m/s)."""
-        return correlation(doppler_shift(speed, self.wavelength, self.angle_cos),
-                           self.step_interval)
-
-
-@dataclass
-class ChannelState:
-    """Instantaneous complex gain and the AR(1) coefficient driving it."""
-
-    h: complex = 1.0 + 0.0j
-    rho: float = 0.0
-
-    def __post_init__(self) -> None:
-        if abs(self.rho) > 1:
-            raise ValueError(f"|rho| must be <= 1, got {self.rho}")
-
-    def advance(self, rng=None) -> complex:
-        self.h = ar1_step(self.h, self.rho, rng)
-        return self.h
 
 
 def doppler_shift(speed: float, wavelength: float, angle_cos: float = 1.0) -> float:
@@ -148,11 +115,6 @@ def snr(params: ChannelParams, h, distance: float) -> float:
         raise ValueError(f"distance must be positive, got {distance}")
     gain = abs(h) ** 2
     return params.tx_power * gain * distance ** (-params.path_loss_exponent) / params.noise_power
-
-
-def shannon_rate(params: ChannelParams, h, distance: float) -> float:
-    """Shannon rate B * log2(1 + SNR) in bit/s."""
-    return params.bandwidth * math.log2(1.0 + snr(params, h, distance))
 
 
 def spectral_efficiency(params: ChannelParams, h, distance: float) -> float:

@@ -70,6 +70,10 @@ def cmd_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    if args.events < 1:
+        raise ConfigError("oracle.events", f"must be >= 1, got {args.events}")
+    if args.episodes < 1:
+        raise ConfigError("oracle.episodes", f"must be >= 1, got {args.episodes}")
     config = _effective_config(args)
     out = Path(config.output_dir)
     write_manifest(config, out / "oracle_manifest.yaml")

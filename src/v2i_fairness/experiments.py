@@ -23,11 +23,9 @@ from .nsga2 import initialize, pick_optimum, run, write_history
 from .sps_analytics import (
     FairnessInputs,
     SpsParams,
-    collision_factors,
     collision_probability,
-    fairness_index_network,
+    fairness_indices,
     objective_batch,
-    objective_vector,
     packet_reception_ratio,
 )
 from .sps_sim import SimConfig, estimate_collision_prob, estimate_prr
@@ -66,9 +64,8 @@ def resolve_threshold(config: ExperimentConfig, inputs: FairnessInputs) -> float
     """
     w_lb, w_ub = config.sps.window_bounds
     mid = (w_lb + w_ub) // 2
-    anchor = fairness_index_network(
-        replace(inputs, windows=(mid,) * len(inputs.speeds)))
-    return config.ga.threshold * anchor
+    k_net, _ = fairness_indices([(mid,) * inputs.num_vehicles], inputs)
+    return config.ga.threshold * float(k_net[0])
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,8 @@ def run_fig5_comparison(config: ExperimentConfig,
         optimum = optimize_point(config, avg_speed, index)
         speeds = config.lane_speeds_at(avg_speed)
         inputs = fairness_inputs(config, speeds)
-        baseline = objective_vector(
-            [config.baseline_window] * len(speeds), inputs)
+        baseline = objective_batch(
+            [(config.baseline_window,) * len(speeds)], inputs)
         rows.append([_fmt(avg_speed), "optimal", _fmt(optimum.objective_sum)])
         rows.append([_fmt(avg_speed), "standard", _fmt(float(baseline.sum()))])
     return _write_csv(out / "fig5_objective_sums.csv",
@@ -284,7 +281,7 @@ def run_oracle_validation(config: ExperimentConfig,
         if case.num_vehicles == 1:
             delta_ana = 0.0
         else:
-            delta_ana = collision_probability(sps, window, window)
+            delta_ana = float(collision_probability(sps, window, window))
         prr_ana = packet_reception_ratio(
             0, sps, (window,) * case.num_vehicles)
 

@@ -2,9 +2,8 @@
 
 A straight multi-lane road segment of length ``coverage_range`` runs along the
 first axis.  Vehicles enter at the origin end and traverse the segment at
-constant speed; the roadside unit (RSU) sits next to the road at a fixed
-3-D position.  Oncoming traffic is modelled as a sign on the velocity; all
-rate/fairness math uses the magnitude.
+constant speed on the road axis; the roadside unit (RSU) sits next to the road
+at a fixed 3-D position.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .util import as_rng
-
-DEFAULT_SPEED_OFFSETS = (-3.0, -1.0, 1.0, 3.0)  # m/s around the mean speed
-LANE_WIDTH = 3.5  # m, used when lateral offsets are switched on
 
 
 @dataclass(frozen=True)
@@ -25,9 +20,7 @@ class ScenarioConfig:
     """Static description of the highway segment and its traffic.
 
     Lane speeds are constant per lane; adjacent lanes may not differ by more
-    than ``max_adjacent_speed_gap`` (overtaking-lane discipline).  Lateral
-    ``lane_offsets`` are optional: the default `None` keeps every vehicle on
-    the road axis, matching the kinematic model the fairness math assumes.
+    than ``max_adjacent_speed_gap`` (overtaking-lane discipline).
     """
 
     coverage_range: float = 500.0         # m, segment covered by the RSU
@@ -36,9 +29,6 @@ class ScenarioConfig:
     speed_max: float = 30.0               # m/s, fastest legal lane speed
     max_adjacent_speed_gap: float = 4.0   # m/s between neighbouring lanes
     rsu_position: tuple[float, float, float] = (250.0, 10.0, 5.0)  # m
-    arrival_rate: float = 0.1             # vehicles/s per lane (Poisson)
-    lane_offsets: tuple[float, ...] | None = None   # m, lateral per lane
-    lane_directions: tuple[int, ...] | None = None  # +1/-1 per lane, default all +1
 
     def __post_init__(self):
         if self.coverage_range <= 0:
@@ -60,15 +50,6 @@ class ScenarioConfig:
                     "scenario.lane_speeds",
                     f"adjacent lanes {k},{k+1} differ by {gap} "
                     f"> {self.max_adjacent_speed_gap}")
-        if self.arrival_rate < 0:
-            raise ConfigError("scenario.arrival_rate", "must be >= 0")
-        for key in ("lane_offsets", "lane_directions"):
-            val = getattr(self, key)
-            if val is not None and len(val) != len(self.lane_speeds):
-                raise ConfigError(f"scenario.{key}", "length must match lane_speeds")
-        if self.lane_directions is not None:
-            if any(d not in (-1, 1) for d in self.lane_directions):
-                raise ConfigError("scenario.lane_directions", "entries must be +1/-1")
 
     @property
     def num_lanes(self) -> int:
@@ -79,52 +60,11 @@ class ScenarioConfig:
         return float(np.mean(self.lane_speeds))
 
 
-@dataclass(frozen=True)
-class Vehicle:
-    """One vehicle: identity, lane, speed magnitude, entry time, packet rate."""
-
-    vehicle_id: int
-    lane: int
-    speed: float              # m/s, > 0
-    entry_time: float = 0.0   # s, when it enters the segment
-    packet_rate: float = 20.0  # packets/s offered to the SPS layer
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ConfigError("vehicle.speed", "must be > 0")
-        if self.entry_time < 0:
-            raise ConfigError("vehicle.entry_time", "must be >= 0")
-        if self.packet_rate <= 0:
-            raise ConfigError("vehicle.packet_rate", "must be > 0")
-
-
-def lane_speeds_from_mean(mean_speed: float,
-                          offsets: tuple[float, ...] = DEFAULT_SPEED_OFFSETS
-                          ) -> tuple[float, ...]:
-    """Per-lane speeds built as mean_speed + offset, one offset per lane."""
-    return tuple(mean_speed + o for o in offsets)
-
-
-def residence_time(speed: float, coverage_range: float) -> float:
-    """Seconds a vehicle at `speed` spends inside the coverage segment (R / v)."""
-    if speed <= 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
-    if coverage_range <= 0:
-        raise ValueError(f"coverage_range must be > 0, got {coverage_range}")
-    return coverage_range / speed
-
-
-def vehicle_position(speed: float, t: float,
-                     lane_offset: float = 0.0,
-                     direction: int = 1) -> np.ndarray:
-    """Position at time t for a constant-speed drive along the first axis.
-
-    `direction` = -1 models oncoming traffic (negative first coordinate
-    growth); the lateral lane offset, when used, goes on the second axis.
-    """
+def vehicle_position(speed: float, t: float) -> np.ndarray:
+    """Position at time t for a constant-speed drive along the first axis."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return np.array([direction * speed * t, lane_offset, 0.0])
+    return np.array([speed * t, 0.0, 0.0])
 
 
 def distance_to_rsu(position: np.ndarray,
@@ -132,35 +72,3 @@ def distance_to_rsu(position: np.ndarray,
     """Euclidean distance between a vehicle position and the RSU."""
     return float(np.linalg.norm(np.asarray(position, dtype=float)
                                 - np.asarray(rsu_position, dtype=float)))
-
-
-def spawn_arrivals(rate: float, horizon: float,
-                   rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Poisson arrival instants on [0, horizon) at the given rate.
-
-    Args:
-        rate: mean arrivals per second; 0 yields an empty array.
-        horizon: end of the observation window, > 0.
-        rng: seed or Generator; fixed seeds give identical schedules.
-
-    Returns:
-        Sorted 1-D array of arrival times.
-    """
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if rate == 0:
-        return np.empty(0)
-    rng = as_rng(rng)
-    # exponential gaps; draw in blocks until past the horizon
-    times = []
-    t = 0.0
-    block = max(16, int(rate * horizon * 1.5))
-    while True:
-        gaps = rng.exponential(1.0 / rate, size=block)
-        for g in gaps:
-            t += g
-            if t >= horizon:
-                return np.array(times)
-            times.append(t)

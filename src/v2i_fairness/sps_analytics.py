@@ -30,7 +30,7 @@ Every constant can also be overridden explicitly through SpsParams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -115,52 +115,55 @@ class SpsParams:
     def slots_per_rri(self) -> int:
         return slots_per_rri(self.numerology, self.rri)
 
-    def with_window(self, w: int) -> "SpsParams":
-        return replace(self, selection_window=w)
-
 
 # Eq.-level operations -------------------------------------------------------
+#
+# Windows may be scalars or broadcastable arrays throughout; the optimiser
+# passes (M, N, 1) against (M, 1, N) to score every pair of M window vectors.
 
 
-def overlap_probability(w_i: float, w_j: float, numerology: int, rri: float) -> float:
+def overlap_probability(w_i, w_j, numerology: int, rri: float):
     """P_O = (w_i + w_j + 1) / slots_per_rri: chance the windows overlap."""
-    if w_i < 0 or w_j < 0:
-        raise ValueError(f"windows must be >= 0, got ({w_i}, {w_j})")
+    w_i = np.asarray(w_i, dtype=float)
+    w_j = np.asarray(w_j, dtype=float)
+    if (w_i < 0).any() or (w_j < 0).any():
+        raise ValueError("windows must be >= 0")
     slots = slots_per_rri(numerology, rri)
-    span = w_i + w_j + 1
-    if span > slots:
+    span = w_i + w_j + 1.0
+    if (span > slots).any():
         raise ModelDomainError(
-            f"combined window span {span} exceeds the {slots}-slot reservation period")
+            f"combined window span {np.max(span)} exceeds the "
+            f"{slots}-slot reservation period")
     return span / slots
 
 
-def shared_resources(w_i: float, w_j: float) -> float:
+def shared_resources(w_i, w_j):
     """N_Sh = (w_i+1)(w_j+1)/(w_i+w_j+1): expected shared slots in the overlap."""
-    if w_i < 0 or w_j < 0:
-        raise ValueError(f"windows must be >= 0, got ({w_i}, {w_j})")
+    w_i = np.asarray(w_i, dtype=float)
+    w_j = np.asarray(w_j, dtype=float)
+    if (w_i < 0).any() or (w_j < 0).any():
+        raise ValueError("windows must be >= 0")
     return (w_i + 1.0) * (w_j + 1.0) / (w_i + w_j + 1.0)
 
 
-def shared_selection_probability(n_sc: float, n_sh: float, n_r: float) -> float:
+def shared_selection_probability(n_sc, n_sh, n_r):
     """P_SH|O = (N_Sc * N_Sh / N_r)^2: both pick from the shared resources."""
-    if n_sc <= 0 or n_sh <= 0 or n_r <= 0:
+    if any((np.asarray(x) <= 0).any() for x in (n_sc, n_sh, n_r)):
         raise ValueError("N_Sc, N_Sh, N_r must all be positive")
     ratio = n_sc * n_sh / n_r
-    if ratio > 1.0 + 1e-12:
+    if np.any(ratio > 1.0 + 1e-12):
         raise ModelDomainError(
-            f"shared resources N_Sc*N_Sh = {n_sc * n_sh} exceed the pool N_r = {n_r}")
-    return min(ratio, 1.0) ** 2
+            f"shared resources N_Sc*N_Sh exceed the pool N_r "
+            f"(ratio {np.max(ratio)})")
+    return np.minimum(ratio, 1.0) ** 2
 
 
 def collision_factors(params: SpsParams, w_i, w_j):
-    """(C_Ca, N_r, N_Ca) under the configured calibration, with overrides applied.
-
-    Windows may be scalars or broadcastable arrays; outputs broadcast along.
-    """
+    """(C_Ca, N_r, N_Ca) under the configured calibration, with overrides applied."""
     n_sc = params.num_subchannels
     wi = np.asarray(w_i, dtype=float)
     wj = np.asarray(w_j, dtype=float)
-    n_sh = (wi + 1.0) * (wj + 1.0) / (wi + wj + 1.0)
+    n_sh = shared_resources(wi, wj)
     if params.collision_model == "bounded-pool":
         pool = n_sc * (params.window_bounds[1] + 1.0)
         c_ca, n_r, n_ca = n_sc * n_sh, pool, params.candidate_fraction * pool
@@ -176,24 +179,24 @@ def collision_factors(params: SpsParams, w_i, w_j):
     return c_ca, n_r, n_ca
 
 
-def collision_from_factors(p_overlap: float, p_shared: float,
-                           c_ca: float, n_ca: float) -> float:
+def collision_from_factors(p_overlap, p_shared, c_ca, n_ca):
     """delta_col = P_O * P_SH|O * C_Ca / N_Ca^2, checked to land in [0, 1]."""
-    if n_ca <= 0 or c_ca < 0:
+    if (np.asarray(n_ca) <= 0).any() or (np.asarray(c_ca) < 0).any():
         raise ValueError("need C_Ca >= 0 and N_Ca > 0")
-    delta = float(p_overlap * p_shared * c_ca / n_ca ** 2)
-    if not (0.0 <= delta <= 1.0):
+    delta = p_overlap * p_shared * c_ca / n_ca ** 2
+    if not np.all((delta >= 0.0) & (delta <= 1.0)):
         raise ModelDomainError(
-            f"delta_col = {delta} outside [0, 1]; C_Ca/N_Ca configuration inconsistent")
+            f"delta_col outside [0, 1] (max {np.max(delta)}); "
+            f"C_Ca/N_Ca configuration inconsistent")
     return delta
 
 
-def collision_probability(params: SpsParams, w_i: float, w_j: float) -> float:
+def collision_probability(params: SpsParams, w_i, w_j):
     """Pairwise collision probability for windows (w_i, w_j) under `params`."""
     p_o = overlap_probability(w_i, w_j, params.numerology, params.rri)
-    n_sh = shared_resources(w_i, w_j)
     c_ca, n_r, n_ca = collision_factors(params, w_i, w_j)
-    p_sh = shared_selection_probability(params.num_subchannels, n_sh, n_r)
+    p_sh = shared_selection_probability(params.num_subchannels,
+                                        shared_resources(w_i, w_j), n_r)
     return collision_from_factors(p_o, p_sh, c_ca, n_ca)
 
 
@@ -205,21 +208,19 @@ def half_duplex_probability(packet_rate: float) -> float:
 
 
 def packet_reception_ratio(i: int, params: SpsParams,
-                           windows: Sequence[float],
-                           packet_rates: Sequence[float] | None = None) -> float:
-    """PRR for vehicle i: prod_{j!=i} (1 - delta_col^j) * (1 - delta_hd^j)."""
+                           windows: Sequence[float]) -> float:
+    """PRR for vehicle i: prod_{j!=i} (1 - delta_col^j) * (1 - delta_hd)."""
     n = len(windows)
     if not 0 <= i < n:
         raise ValueError(f"vehicle index {i} outside 0..{n - 1}")
-    if packet_rates is None:
-        packet_rates = [params.packet_rate] * n
+    delta_hd = half_duplex_probability(params.packet_rate)
     prr = 1.0
     for j in range(n):
         if j == i:
             continue
         prr *= 1.0 - collision_probability(params, windows[i], windows[j])
-        prr *= 1.0 - half_duplex_probability(packet_rates[j])
-    return prr
+        prr *= 1.0 - delta_hd
+    return float(prr)
 
 
 # fairness indices -----------------------------------------------------------
@@ -229,11 +230,11 @@ def packet_reception_ratio(i: int, params: SpsParams,
 class FairnessInputs:
     """Everything Eq.-17/18-style fairness evaluation needs for one network.
 
-    `windows` holds the current per-vehicle selection windows; the optimiser
-    evaluates trial windows through `objective_vector` without touching them.
-    Distances default to the mid-pass epoch: a vehicle at speed v sits at
-    x = R/2 halfway through its residence time, so with the RSU at
-    (R/2, y, z) every lane sees the same link distance.
+    `windows` holds the configured per-vehicle selection windows; the
+    fairness kernels take trial windows as an argument instead.  Every link
+    runs at |h| = 1 and is evaluated at the mid-pass epoch: a vehicle at
+    speed v sits at x = R/2 halfway through its residence time, so with the
+    RSU at (R/2, y, z) every lane sees the same link distance.
     """
 
     channel: ChannelParams
@@ -242,9 +243,6 @@ class FairnessInputs:
     windows: tuple[int, ...]                  # slots, one per vehicle
     rsu_position: tuple[float, float, float] = (250.0, 10.0, 5.0)
     coverage_range: float = 500.0             # m
-    gains: tuple[float, ...] | None = None    # |h| per vehicle; None -> 1
-    distances: tuple[float, ...] | None = None  # m; None -> epoch geometry
-    packet_rates: tuple[float, ...] | None = None  # packets/s; None -> sps value
 
     def __post_init__(self):
         n = len(self.speeds)
@@ -261,12 +259,6 @@ class FairnessInputs:
                                   f"window {w} outside [{w_lb}, {w_ub}]")
         if self.coverage_range <= 0:
             raise ConfigError("fairness.coverage_range", "must be positive")
-        for key in ("gains", "distances", "packet_rates"):
-            val = getattr(self, key)
-            if val is not None and len(val) != n:
-                raise ConfigError(f"fairness.{key}", "length must match speeds")
-        if self.distances is not None and any(d <= 0 for d in self.distances):
-            raise ConfigError("fairness.distances", "all distances must be positive")
 
     @property
     def num_vehicles(self) -> int:
@@ -276,130 +268,52 @@ class FairnessInputs:
     def mean_speed(self) -> float:
         return float(np.mean(self.speeds))
 
-    @property
-    def mean_window(self) -> float:
-        return float(np.mean(self.windows))
-
-    def gain(self, i: int) -> float:
-        return 1.0 if self.gains is None else self.gains[i]
-
-    def distance(self, i: int, eval_time: float | None = None) -> float:
-        if eval_time is None and self.distances is not None:
-            return self.distances[i]
-        return self.epoch_distance(self.speeds[i], eval_time)
-
-    def epoch_distance(self, speed: float, eval_time: float | None = None) -> float:
-        """Link distance for a vehicle of `speed` at eval_time (default mid-pass)."""
-        if eval_time is None:
-            eval_time = 0.5 * self.coverage_range / speed
-        return distance_to_rsu(vehicle_position(speed, eval_time), self.rsu_position)
+    def epoch_distance(self, speed: float) -> float:
+        """Link distance for a vehicle of `speed` at the mid-pass epoch."""
+        t = 0.5 * self.coverage_range / speed
+        return distance_to_rsu(vehicle_position(speed, t), self.rsu_position)
 
 
-def fairness_index_vehicle(i: int, inputs: FairnessInputs,
-                           eval_time: float | None = None) -> float:
-    """K_index^i: spectral efficiency times survival product, per unit speed."""
-    v = inputs.speeds[i]
-    if v <= 0:
-        raise ValueError(f"speed must be positive, got {v}")
-    kappa = spectral_efficiency(inputs.channel, inputs.gain(i),
-                                inputs.distance(i, eval_time))
-    survive = 1.0
-    for j in range(inputs.num_vehicles):
-        if j != i:
-            survive *= 1.0 - collision_probability(
-                inputs.sps, inputs.windows[i], inputs.windows[j])
-    return kappa * survive / v
+def fairness_indices(windows, inputs: FairnessInputs):
+    """K_index and K_index^i for M window vectors; (M, N) -> ((M,), (M, N)).
 
-
-def fairness_index_network(inputs: FairnessInputs,
-                           eval_time: float | None = None) -> float:
-    """K_index: the per-vehicle index evaluated at the network averages."""
-    v_bar = inputs.mean_speed
-    w_bar = inputs.mean_window
-    gain = 1.0 if inputs.gains is None else float(np.mean(inputs.gains))
-    kappa = spectral_efficiency(inputs.channel, gain,
-                                inputs.epoch_distance(v_bar, eval_time))
-    delta = collision_probability(inputs.sps, w_bar, w_bar)
-    survive = (1.0 - delta) ** (inputs.num_vehicles - 1)
-    return kappa * survive / v_bar
-
-
-def objective_vector(w: Sequence[int], inputs: FairnessInputs,
-                     eval_time: float | None = None) -> np.ndarray:
-    """F_i = |K_index - K_index^i| per vehicle, with trial windows `w`."""
-    w = tuple(int(x) for x in w)
-    w_lb, w_ub = inputs.sps.window_bounds
-    if len(w) != inputs.num_vehicles:
-        raise ValueError(f"need {inputs.num_vehicles} windows, got {len(w)}")
-    for x in w:
-        if not (w_lb <= x <= w_ub):
-            raise ValueError(f"window {x} outside [{w_lb}, {w_ub}]")
-    trial = replace(inputs, windows=w)
-    k_net = fairness_index_network(trial, eval_time)
-    return np.array([abs(k_net - fairness_index_vehicle(i, trial, eval_time))
-                     for i in range(trial.num_vehicles)])
-
-
-# vectorised evaluation for the optimiser ------------------------------------
-
-
-def _collision_matrix(params: SpsParams, w: np.ndarray) -> np.ndarray:
-    """delta_col for every window pair; `w` has shape (..., N), output (..., N, N)."""
-    w = np.asarray(w, dtype=float)
-    slots = params.slots_per_rri
-    wi = w[..., :, None]
-    wj = w[..., None, :]
-    span = wi + wj + 1.0
-    if np.any(span > slots):
-        raise ModelDomainError(
-            f"combined window span exceeds the {slots}-slot reservation period")
-    p_o = span / slots
-    n_sh = (wi + 1.0) * (wj + 1.0) / span
-    n_sc = params.num_subchannels
-    c_ca, n_r, n_ca = collision_factors(params, wi, wj)
-    p_sh = (n_sc * n_sh / n_r) ** 2
-    if np.any(n_sc * n_sh > n_r * (1 + 1e-12)):
-        raise ModelDomainError("shared resources exceed the pool N_r")
-    delta = p_o * p_sh * c_ca / n_ca ** 2
-    if np.any(delta < 0) or np.any(delta > 1):
-        raise ModelDomainError("delta_col outside [0, 1] for some pair")
-    return delta
-
-
-def objective_batch(windows: np.ndarray, inputs: FairnessInputs,
-                    eval_time: float | None = None) -> np.ndarray:
-    """objective_vector for M window vectors at once; (M, N) -> (M, N).
-
-    Matches the scalar path exactly (same formulas, numpy-broadcast); the
-    optimiser calls this once per generation.
+    K_index^i is vehicle i's spectral efficiency times its survival product
+    over the other vehicles, per unit speed; K_index is the same index
+    evaluated at the network's mean speed and mean window.
     """
     windows = np.asarray(windows)
-    if windows.ndim != 2 or windows.shape[1] != inputs.num_vehicles:
-        raise ValueError(f"expected (M, {inputs.num_vehicles}) windows, "
-                         f"got {windows.shape}")
+    n = inputs.num_vehicles
+    if windows.ndim != 2 or windows.shape[1] != n:
+        raise ValueError(f"expected (M, {n}) windows, got {windows.shape}")
     w_lb, w_ub = inputs.sps.window_bounds
-    if np.any(windows < w_lb) or np.any(windows > w_ub):
+    if (windows < w_lb).any() or (windows > w_ub).any():
         raise ValueError(f"some window outside [{w_lb}, {w_ub}]")
+    w = windows.astype(float)
 
     speeds = np.asarray(inputs.speeds, dtype=float)
-    n = inputs.num_vehicles
-    gains = np.ones(n) if inputs.gains is None else np.asarray(inputs.gains, dtype=float)
-    dists = np.array([inputs.distance(i, eval_time) for i in range(n)])
-    kappa = np.array([spectral_efficiency(inputs.channel, g, d)
-                      for g, d in zip(gains, dists)])
-
-    delta = _collision_matrix(inputs.sps, windows)          # (M, N, N)
-    off_diag = 1.0 - delta
+    kappa = np.array([spectral_efficiency(inputs.channel, 1.0,
+                                          inputs.epoch_distance(v))
+                      for v in inputs.speeds])
+    delta = collision_probability(inputs.sps, w[:, :, None], w[:, None, :])
+    off_diag = 1.0 - delta                                  # (M, N, N)
     idx = np.arange(n)
-    off_diag[..., idx, idx] = 1.0
-    survive = off_diag.prod(axis=-1)                        # (M, N)
-    k_i = kappa[None, :] * survive / speeds[None, :]
+    off_diag[:, idx, idx] = 1.0
+    k_i = kappa * off_diag.prod(axis=-1) / speeds
 
     v_bar = inputs.mean_speed
-    w_bar = windows.mean(axis=1)                            # (M,)
-    kappa_net = spectral_efficiency(inputs.channel, float(gains.mean()),
-                                    inputs.epoch_distance(v_bar, eval_time))
-    delta_net = _collision_matrix(inputs.sps, w_bar[:, None])[:, 0, 0]
+    w_bar = w.mean(axis=1)                                  # (M,)
+    kappa_net = spectral_efficiency(inputs.channel, 1.0,
+                                    inputs.epoch_distance(v_bar))
+    delta_net = collision_probability(inputs.sps, w_bar, w_bar)
     k_net = kappa_net * (1.0 - delta_net) ** (n - 1) / v_bar
+    return k_net, k_i
 
+
+def objective_batch(windows, inputs: FairnessInputs) -> np.ndarray:
+    """F_i = |K_index - K_index^i| for M window vectors; (M, N) -> (M, N).
+
+    The optimiser calls this once per generation; a single window vector is
+    a one-row batch.
+    """
+    k_net, k_i = fairness_indices(windows, inputs)
     return np.abs(k_net[:, None] - k_i)

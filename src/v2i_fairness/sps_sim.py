@@ -27,7 +27,6 @@ stays visible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,7 +47,6 @@ __all__ = [
     "reselect",
     "step",
     "simulate",
-    "write_trace",
     "estimate_collision_prob",
     "estimate_prr",
 ]
@@ -325,17 +323,6 @@ def simulate(config: SimConfig, num_slots: int, rng=None) -> list[TransmissionEv
     return events
 
 
-def write_trace(events: list[TransmissionEvent], path) -> None:
-    """Dump events as CSV: slot, vehicle_id, subchannel, collided."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["slot", "vehicle_id", "subchannel", "collided"])
-        for event in events:
-            writer.writerow(
-                [event.slot, event.vehicle_id, event.subchannel, int(event.collided)]
-            )
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -492,8 +479,10 @@ def _cluster_se(rates: list[float]) -> float:
 
 
 def _collect(config: SimConfig, num_events: int, rng_seed, episodes: int) -> _Tally:
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     rng = as_rng(rng_seed)
-    episodes = max(1, min(episodes, num_events))
+    episodes = min(episodes, num_events)
     per_episode = math.ceil(num_events / episodes)
     tally = _Tally()
     for _ in range(episodes):

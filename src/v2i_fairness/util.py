@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-RngLike = "np.random.Generator | int | None"
-
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write text via a sibling temp file + rename so readers never see a

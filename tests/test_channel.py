@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from v2i_fairness.channel import (
     ChannelParams,
-    ChannelState,
     ar1_step,
     bessel_j0,
     correlation,
     doppler_shift,
-    shannon_rate,
     snr,
     spectral_efficiency,
 )
@@ -139,31 +137,25 @@ def test_ar1_stationary_second_moment():
     assert abs(power.mean() - 1.0) < max(3 * se, 0.02)
 
 
-def test_channel_state_advance_matches_free_function():
-    state = ChannelState(h=1.0 + 0.0j, rho=0.7)
-    out = state.advance(np.random.default_rng(3))
-    assert out == ar1_step(1.0 + 0.0j, 0.7, np.random.default_rng(3))
-    assert state.h == out
+# The Shannon rate per hertz, log2(1 + SNR), is the rate term of the fairness
+# index; spectral_efficiency computes it.
 
 
 def test_shannon_rate_values():
-    # B=1 and unit SNR product -> log2(2) = 1
-    p = ChannelParams(bandwidth=1.0, tx_power=1.0, noise_power=1.0,
-                      path_loss_exponent=0.0)
-    assert shannon_rate(p, 1.0, 5.0) == pytest.approx(1.0)
+    # unit SNR product -> log2(2) = 1
+    p = ChannelParams(tx_power=1.0, noise_power=1.0, path_loss_exponent=0.0)
+    assert spectral_efficiency(p, 1.0, 5.0) == pytest.approx(1.0)
     # SNR 0.1 at 100 m with inverse-square loss
-    p = ChannelParams(bandwidth=1e6, tx_power=1.0, noise_power=1e-3,
-                      path_loss_exponent=2.0)
-    assert shannon_rate(p, 1.0, 100.0) == pytest.approx(137503.5, abs=0.5)
+    p = ChannelParams(tx_power=1.0, noise_power=1e-3, path_loss_exponent=2.0)
+    assert spectral_efficiency(p, 1.0, 100.0) == pytest.approx(0.1375035, abs=5e-7)
     # same geometry with micro-watt noise -> SNR 100
-    p = ChannelParams(bandwidth=1e6, tx_power=1.0, noise_power=1e-6,
-                      path_loss_exponent=2.0)
-    assert shannon_rate(p, 1.0, 100.0) == pytest.approx(1e6 * math.log2(101.0))
+    p = ChannelParams(tx_power=1.0, noise_power=1e-6, path_loss_exponent=2.0)
+    assert spectral_efficiency(p, 1.0, 100.0) == pytest.approx(math.log2(101.0))
 
 
 def test_shannon_rate_zero_power_param_rejected_but_zero_gain_ok():
     p = ChannelParams()
-    assert shannon_rate(p, 0.0, 100.0) == 0.0
+    assert spectral_efficiency(p, 0.0, 100.0) == 0.0
     with pytest.raises(ConfigError):
         ChannelParams(tx_power=0.0)
 
@@ -172,40 +164,37 @@ def test_shannon_rate_rejects_nonpositive_distance():
     p = ChannelParams()
     for d in (0.0, -10.0):
         with pytest.raises(ValueError):
-            shannon_rate(p, 1.0, d)
+            spectral_efficiency(p, 1.0, d)
 
 
 @settings(max_examples=100)
 @given(st.floats(1.0, 1e4), st.floats(0.1, 3.0), st.floats(0.1, 3.0))
 def test_shannon_rate_decreasing_in_distance(d, gain, extra):
     p = ChannelParams()
-    assert shannon_rate(p, gain, d + extra) < shannon_rate(p, gain, d)
+    assert spectral_efficiency(p, gain, d + extra) < spectral_efficiency(p, gain, d)
 
 
 @settings(max_examples=100)
 @given(st.floats(1.0, 1e4), st.floats(0.1, 3.0), st.floats(1.01, 3.0))
 def test_shannon_rate_increasing_in_gain(d, gain, factor):
     p = ChannelParams()
-    assert shannon_rate(p, gain * factor, d) > shannon_rate(p, gain, d)
+    assert spectral_efficiency(p, gain * factor, d) > spectral_efficiency(p, gain, d)
 
 
 def test_snr_and_spectral_efficiency_consistent():
-    p = ChannelParams(bandwidth=2.0)
+    p = ChannelParams()
     d, h = 37.0, 0.8 + 0.4j
-    assert shannon_rate(p, h, d) == pytest.approx(2.0 * spectral_efficiency(p, h, d))
     assert spectral_efficiency(p, h, d) == pytest.approx(math.log2(1 + snr(p, h, d)))
 
 
 def test_channel_params_validation():
     with pytest.raises(ConfigError, match="noise_power"):
         ChannelParams(noise_power=0.0)
-    with pytest.raises(ConfigError, match="angle_cos"):
-        ChannelParams(angle_cos=1.2)
     with pytest.raises(ConfigError, match="path_loss_exponent"):
         ChannelParams(path_loss_exponent=-0.5)
 
 
 def test_correlation_at_composes_doppler_and_lag():
-    p = ChannelParams(wavelength=0.05, angle_cos=1.0, step_interval=0.001)
-    # 25 m/s -> f_d = 500 Hz -> rho = J0(2*pi*0.5)
-    assert p.correlation_at(25.0) == pytest.approx(bessel_j0(math.pi), abs=1e-12)
+    # 25 m/s at a 0.05 m wavelength -> f_d = 500 Hz -> rho = J0(2*pi*0.5)
+    rho = correlation(doppler_shift(25.0, 0.05, 1.0), 0.001)
+    assert rho == pytest.approx(bessel_j0(math.pi), abs=1e-12)

@@ -100,6 +100,32 @@ def test_oracle_verb_quick_budget(tiny_file, tmp_path, capsys):
     assert "forced-collision" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, key", [("--events", "oracle.events"),
+                                       ("--episodes", "oracle.episodes")])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_oracle_rejects_budget_below_one_before_writing(tmp_path, capsys,
+                                                       flag, key, value):
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["oracle", "--out", str(out), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err.strip())
+    assert payload["error"] == "ConfigError"
+    assert payload["key"] == key
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_verb_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["plot-everything"])
+
+
+def test_validate_config_rejects_a_0_2_0_manifest(tmp_path, capsys):
+    doc = {"artifact_version": "0.2.0", "seed": 1,
+           "config": {"scenario": {"arrival_rate": 0.1}}}
+    path = tmp_path / "old_manifest.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["key"] == "scenario.arrival_rate"

@@ -146,3 +146,30 @@ def test_manifest_without_config_section_fails(tmp_path):
 def test_manifest_writes_are_atomic(tmp_path):
     write_manifest(ExperimentConfig(), tmp_path / "m.yaml")
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_0_2_0_manifest_with_removed_keys_is_rejected(tmp_path):
+    # 0.2.0 manifests list the scenario/channel keys that 0.3.0 removed
+    config = effective_dict(ExperimentConfig())
+    config["scenario"].update(arrival_rate=0.1, lane_offsets=None,
+                              lane_directions=None)
+    config["channel"].update(bandwidth=1e6, wavelength=0.0508,
+                             angle_cos=1.0, step_interval=0.001)
+    doc = {"artifact_version": "0.2.0", "seed": 1, "config": config}
+    path = write_yaml(tmp_path, doc, name="manifest.yaml")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "scenario.arrival_rate"
+
+
+@pytest.mark.parametrize("section, key", [
+    ("scenario", "arrival_rate"), ("scenario", "lane_offsets"),
+    ("scenario", "lane_directions"), ("channel", "bandwidth"),
+    ("channel", "wavelength"), ("channel", "angle_cos"),
+    ("channel", "step_interval"),
+])
+def test_removed_keys_are_unknown(tmp_path, section, key):
+    path = write_yaml(tmp_path, {section: {key: 1.0}})
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == f"{section}.{key}"

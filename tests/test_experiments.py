@@ -18,7 +18,7 @@ from v2i_fairness.experiments import (
     run_oracle_validation,
 )
 from v2i_fairness.scenario import ScenarioConfig
-from v2i_fairness.sps_analytics import FairnessInputs, fairness_index_network
+from v2i_fairness.sps_analytics import FairnessInputs, fairness_indices
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -61,13 +61,14 @@ def test_resolve_threshold_anchors_at_mid_bound_window():
     config = tiny_config()
     inputs = fairness_inputs(config, config.lane_speeds_at(25.0))
     mid = sum(config.sps.window_bounds) // 2
-    anchor = fairness_index_network(
+    k_net, _ = fairness_indices(
+        [(mid,) * 2],
         FairnessInputs(channel=config.channel, sps=config.sps,
                        speeds=inputs.speeds, windows=(mid,) * 2,
                        rsu_position=inputs.rsu_position,
                        coverage_range=inputs.coverage_range))
     assert resolve_threshold(config, inputs) == pytest.approx(
-        config.ga.threshold * anchor)
+        config.ga.threshold * k_net[0])
 
 
 def test_optimize_point_returns_consistent_optimum():

@@ -14,11 +14,9 @@ from v2i_fairness.sps_analytics import (
     collision_factors,
     collision_from_factors,
     collision_probability,
-    fairness_index_network,
-    fairness_index_vehicle,
+    fairness_indices,
     half_duplex_probability,
     objective_batch,
-    objective_vector,
     overlap_probability,
     packet_reception_ratio,
     shared_resources,
@@ -49,20 +47,19 @@ def delta_ref(params: SpsParams, wi: float, wj: float) -> float:
     return p_overlap * p_shared * c_ca / n_ca ** 2
 
 
-def kappa_ref(channel: ChannelParams, gain: float, speed: float,
-              coverage: float, rsu) -> float:
+def kappa_ref(channel: ChannelParams, speed: float, coverage: float, rsu) -> float:
     t = coverage / (2.0 * speed)
     dx, dy, dz = speed * t - rsu[0], -rsu[1], -rsu[2]
     d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    s = channel.tx_power * gain ** 2 * d ** (-channel.path_loss_exponent) / channel.noise_power
+    s = channel.tx_power * d ** (-channel.path_loss_exponent) / channel.noise_power
     return math.log2(1.0 + s)
 
 
 def objective_ref(w, inputs: FairnessInputs) -> list[float]:
     n = len(w)
     speeds = inputs.speeds
-    kappa = [kappa_ref(inputs.channel, inputs.gain(i), speeds[i],
-                       inputs.coverage_range, inputs.rsu_position) for i in range(n)]
+    kappa = [kappa_ref(inputs.channel, speeds[i], inputs.coverage_range,
+                       inputs.rsu_position) for i in range(n)]
     k_i = []
     for i in range(n):
         prod = 1.0
@@ -72,7 +69,7 @@ def objective_ref(w, inputs: FairnessInputs) -> list[float]:
         k_i.append(kappa[i] * prod / speeds[i])
     v_bar = sum(speeds) / n
     w_bar = sum(w) / n
-    k_net = (kappa_ref(inputs.channel, 1.0, v_bar, inputs.coverage_range, inputs.rsu_position)
+    k_net = (kappa_ref(inputs.channel, v_bar, inputs.coverage_range, inputs.rsu_position)
              * (1.0 - delta_ref(inputs.sps, w_bar, w_bar)) ** (n - 1) / v_bar)
     return [abs(k_net - k) for k in k_i]
 
@@ -289,6 +286,36 @@ def test_prr_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# broadcasting
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", ["bounded-pool", "uniform-selection"])
+def test_collision_probability_broadcasts_over_window_grid(model):
+    p = SpsParams(rri=0.05, num_subchannels=2, collision_model=model)
+    w = np.arange(16)
+    grid = collision_probability(p, w[:, None], w[None, :])
+    assert grid.shape == (16, 16)
+    expected = np.array([[delta_ref(p, wi, wj) for wj in range(16)]
+                         for wi in range(16)])
+    np.testing.assert_allclose(grid, expected, rtol=1e-12)
+
+
+def test_broadcast_domain_checks_cover_every_element():
+    p = SpsParams(rri=0.05, num_subchannels=2)
+    with pytest.raises(ModelDomainError):
+        overlap_probability(np.array([0, 30]), 30, 0, 0.05)  # span 61 > 50
+    with pytest.raises(ValueError):
+        shared_resources(np.array([3, -1]), 2)
+    with pytest.raises(ModelDomainError):
+        shared_selection_probability(4, np.array([2.0, 5.0]), 16)
+    with pytest.raises(ModelDomainError):
+        collision_from_factors(1.0, 1.0, np.array([1.0, 50.0]), 2.0)
+    with pytest.raises(ModelDomainError):
+        collision_probability(p, np.array([[0], [40]]), np.array([[0, 15]]))
+
+
+# ---------------------------------------------------------------------------
 # fairness indices
 # ---------------------------------------------------------------------------
 
@@ -297,62 +324,68 @@ def unit_snr_channel():
     return ChannelParams(tx_power=1.0, noise_power=1.0, path_loss_exponent=0.0)
 
 
+def vehicle_index(inputs: FairnessInputs, windows, i: int) -> float:
+    return float(fairness_indices([windows], inputs)[1][0, i])
+
+
+def network_index(inputs: FairnessInputs, windows) -> float:
+    return float(fairness_indices([windows], inputs)[0][0])
+
+
 def test_fairness_single_vehicle_unit_case():
     fi = FairnessInputs(channel=unit_snr_channel(), sps=SpsParams(),
                         speeds=(1.0,), windows=(8,))
-    assert fairness_index_vehicle(0, fi) == pytest.approx(1.0)
-    assert fairness_index_network(fi) == pytest.approx(1.0)
+    assert vehicle_index(fi, (8,), 0) == pytest.approx(1.0)
+    assert network_index(fi, (8,)) == pytest.approx(1.0)
 
 
 def test_fairness_halves_when_speed_doubles():
     p = SpsParams()
     for v in (5.0, 20.0, 25.0):
         a = FairnessInputs(channel=unit_snr_channel(), sps=p, speeds=(v, 24.0),
-                           windows=(8, 8), distances=(10.0, 10.0))
+                           windows=(8, 8))
         b = replace(a, speeds=(2 * v, 24.0))
-        assert fairness_index_vehicle(0, b) == pytest.approx(
-            fairness_index_vehicle(0, a) / 2.0)
+        assert vehicle_index(b, (8, 8), 0) == pytest.approx(
+            vehicle_index(a, (8, 8), 0) / 2.0)
 
 
 @given(st.floats(20.0, 29.0), st.floats(0.1, 5.0))
 def test_fairness_decreasing_in_speed(v, dv):
     a = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                       speeds=(v, 24.0), windows=(8, 8), distances=(11.18, 11.18))
+                       speeds=(v, 24.0), windows=(8, 8))
     b = replace(a, speeds=(v + dv, 24.0))
-    assert fairness_index_vehicle(0, b) < fairness_index_vehicle(0, a)
+    assert vehicle_index(b, (8, 8), 0) < vehicle_index(a, (8, 8), 0)
 
 
 def test_fairness_nonincreasing_in_neighbour_window():
-    base = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                          speeds=(24.0, 26.0), windows=(8, 2))
-    wider = replace(base, windows=(8, 14))
-    assert fairness_index_vehicle(0, wider) < fairness_index_vehicle(0, base)
+    fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
+                        speeds=(24.0, 26.0), windows=(8, 2))
+    assert vehicle_index(fi, (8, 14), 0) < vehicle_index(fi, (8, 2), 0)
 
 
 def test_network_index_matches_homogeneous_vehicles():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
                         speeds=(25.0,) * 4, windows=(9,) * 4)
-    k_net = fairness_index_network(fi)
-    for i in range(4):
-        assert fairness_index_vehicle(i, fi) == pytest.approx(k_net, rel=1e-12)
+    k_net, k_i = fairness_indices([(9,) * 4], fi)
+    np.testing.assert_allclose(k_i[0], k_net[0], rtol=1e-12)
 
 
 def test_network_index_between_homogeneous_substitutions():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
                         speeds=(22.0, 24.0, 26.0, 28.0), windows=(3, 7, 11, 15))
-    k_net = fairness_index_network(fi)
+    k_net = network_index(fi, fi.windows)
     homogeneous = []
     for v, w in zip(fi.speeds, fi.windows):
         sub = replace(fi, speeds=(v,) * 4, windows=(w,) * 4)
-        homogeneous.append(fairness_index_network(sub))
+        homogeneous.append(network_index(sub, sub.windows))
     assert min(homogeneous) <= k_net <= max(homogeneous)
 
 
 def test_mid_pass_distance_is_speed_independent():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
                         speeds=(22.0, 28.0), windows=(8, 8))
-    assert fi.distance(0) == pytest.approx(fi.distance(1))
-    assert fi.distance(0) == pytest.approx(math.sqrt(125.0))
+    assert fi.epoch_distance(22.0) == pytest.approx(fi.epoch_distance(28.0))
+    assert fi.epoch_distance(22.0) == pytest.approx(math.sqrt(125.0))
 
 
 # ---------------------------------------------------------------------------
@@ -360,30 +393,35 @@ def test_mid_pass_distance_is_speed_independent():
 # ---------------------------------------------------------------------------
 
 
-def four_lane_inputs(windows=(8, 8, 8, 8)):
-    return FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
+def four_lane_inputs(windows=(8, 8, 8, 8), model="bounded-pool"):
+    return FairnessInputs(channel=ChannelParams(),
+                          sps=SpsParams(collision_model=model),
                           speeds=(22.0, 24.0, 26.0, 28.0), windows=tuple(windows))
+
+
+def objective_row(w, inputs: FairnessInputs) -> np.ndarray:
+    return objective_batch([w], inputs)[0]
 
 
 def test_objective_vector_zero_for_homogeneous_network():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
                         speeds=(25.0,) * 4, windows=(8,) * 4)
-    np.testing.assert_allclose(objective_vector([6] * 4, fi), 0.0, atol=1e-15)
+    np.testing.assert_allclose(objective_row([6] * 4, fi), 0.0, atol=1e-15)
 
 
 def test_objective_vector_permutation_symmetry():
     fi = four_lane_inputs()
     w = [2, 9, 5, 13]
-    base = objective_vector(w, fi)
+    base = objective_row(w, fi)
     perm = [2, 0, 3, 1]
     fi_p = replace(fi, speeds=tuple(fi.speeds[p] for p in perm))
-    permuted = objective_vector([w[p] for p in perm], fi_p)
+    permuted = objective_row([w[p] for p in perm], fi_p)
     np.testing.assert_allclose(permuted, base[perm], rtol=1e-12)
 
 
 def test_objective_vector_nonnegative_finite():
     fi = four_lane_inputs()
-    out = objective_vector([0, 5, 10, 15], fi)
+    out = objective_row([0, 5, 10, 15], fi)
     assert np.all(out >= 0.0) and np.all(np.isfinite(out))
     assert out.sum() > 0.0
 
@@ -391,9 +429,9 @@ def test_objective_vector_nonnegative_finite():
 def test_objective_vector_rejects_out_of_bounds():
     fi = four_lane_inputs()
     with pytest.raises(ValueError):
-        objective_vector([0, 5, 10, 16], fi)
+        objective_row([0, 5, 10, 16], fi)
     with pytest.raises(ValueError):
-        objective_vector([0, 5, 10], fi)
+        objective_row([0, 5, 10], fi)
 
 
 @settings(max_examples=60)
@@ -401,19 +439,18 @@ def test_objective_vector_rejects_out_of_bounds():
        st.sampled_from(["bounded-pool", "uniform-selection"]))
 def test_objective_vector_matches_reference_implementation(w, model):
     """Cross-check against the plain-loop re-implementation of the Eq. chain."""
-    fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(collision_model=model),
-                        speeds=(22.0, 24.0, 26.0, 28.0), windows=(8,) * 4)
-    np.testing.assert_allclose(objective_vector(w, fi), objective_ref(w, fi),
+    fi = four_lane_inputs(model=model)
+    np.testing.assert_allclose(objective_row(w, fi), objective_ref(w, fi),
                                rtol=1e-12, atol=1e-15)
 
 
 def test_objective_batch_matches_scalar_path():
-    fi = four_lane_inputs()
-    rng = np.random.default_rng(7)
-    batch = rng.integers(0, 16, size=(64, 4))
-    vec = objective_batch(batch, fi)
-    scal = np.array([objective_vector(row, fi) for row in batch])
-    np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=1e-16)
+    batch = np.random.default_rng(7).integers(0, 16, size=(64, 4))
+    for model in ("bounded-pool", "uniform-selection"):
+        fi = four_lane_inputs(model=model)
+        vec = objective_batch(batch, fi)
+        scal = np.array([objective_ref(row, fi) for row in batch])
+        np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=1e-16)
 
 
 def test_objective_batch_shape_validation():
@@ -431,6 +468,3 @@ def test_fairness_inputs_validation():
     with pytest.raises(ConfigError, match="windows"):
         FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
                        speeds=(25.0,), windows=(99,))
-    with pytest.raises(ConfigError, match="distances"):
-        FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                       speeds=(25.0,), windows=(8,), distances=(0.0,))

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from v2i_fairness.sps_sim import (
     reselect,
     simulate,
     step,
-    write_trace,
 )
 
 
@@ -261,19 +258,6 @@ def test_success_implies_no_collision():
             assert not group[0].collided
 
 
-def test_write_trace_schema(tmp_path):
-    cfg = SimConfig(sps=make_params(), num_vehicles=2, windows=(4, 4))
-    events = simulate(cfg, 1_000, rng=2)
-    path = tmp_path / "trace.csv"
-    write_trace(events, path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["slot", "vehicle_id", "subchannel", "collided"]
-    assert len(rows) == len(events) + 1
-    for row in rows[1:]:
-        assert row[3] in {"0", "1"}
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -292,6 +276,14 @@ def test_estimate_rejects_bad_event_count():
         estimate_collision_prob(cfg, 0, rng_seed=0)
     with pytest.raises(ValueError):
         estimate_prr(cfg, -5, rng_seed=0)
+
+
+def test_estimate_rejects_bad_episode_count():
+    cfg = SimConfig(sps=make_params(), num_vehicles=2)
+    with pytest.raises(ValueError, match="episodes"):
+        estimate_collision_prob(cfg, 100, rng_seed=0, episodes=0)
+    with pytest.raises(ValueError, match="episodes"):
+        estimate_prr(cfg, 100, rng_seed=0, episodes=-1)
 
 
 def test_estimate_deterministic():
