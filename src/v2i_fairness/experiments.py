@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .moo_metrics import MetricContext
+from .moo_metrics import MetricContext, nondominated
 from .nsga2 import initialize, pick_optimum, run, write_history
 from .sps_analytics import (
     FairnessInputs,
@@ -48,7 +48,6 @@ def fairness_inputs(config: ExperimentConfig,
         channel=config.channel,
         sps=config.sps,
         speeds=speeds,
-        windows=(config.sps.selection_window,) * len(speeds),
         rsu_position=config.scenario.rsu_position,
         coverage_range=config.scenario.coverage_range,
     )
@@ -92,9 +91,8 @@ def optimize_point(config: ExperimentConfig, avg_speed: float,
     ga = replace(config.ga, rng_seed=point_seed(config.seed, index),
                  threshold=threshold)
     try:
-        result = run(ga, config.sps.window_bounds, len(speeds), evaluator,
-                     record_metrics=False)
-        optimum = pick_optimum(result.population, threshold)
+        result = run(ga, config.sps.window_bounds, len(speeds), evaluator)
+        optimum = pick_optimum(result.genomes, result.objectives, threshold)
     except Exception as exc:
         raise RuntimeError(
             f"optimizer failed at sweep point avg_speed={avg_speed}: {exc}"
@@ -183,14 +181,12 @@ def run_fig3_metrics(config: ExperimentConfig,
     ga = replace(config.ga, rng_seed=seed, threshold=threshold)
     try:
         reference = run(replace(ga, max_generations=5 * ga.max_generations),
-                        bounds, len(speeds), evaluator,
-                        record_metrics=False).front
+                        bounds, len(speeds), evaluator)
         # same seed => run() below regenerates this exact initial population
         seed_pop = initialize(ga, bounds, len(speeds),
                               rng=np.random.default_rng(seed))
-        initial_objectives = evaluator(
-            np.array([ind.genome for ind in seed_pop]))
-        context = MetricContext.from_initial(initial_objectives, reference)
+        context = MetricContext.from_initial(evaluator(seed_pop),
+                                             nondominated(reference.objectives))
         result = run(ga, bounds, len(speeds), evaluator,
                      metric_context=context)
     except Exception as exc:

@@ -1,10 +1,20 @@
 """NSGA-II over integer window vectors, plus the threshold-filtered optimum pick.
 
+The population is an (M, N) integer genome array beside an (M, N) float
+objective array, row for row, from the first generation to the result.
+
 One generation: pair parents from a seeded shuffle, single-point crossover,
 per-gene uniform-redraw mutation, merge parents and offspring, fast
 non-dominated sort, crowding distance, then truncate to the population size.
 The merge makes the per-objective minima non-increasing across generations
 (elitism), which the metric trends in the experiments rely on.
+
+Each parent pair draws, in this order: `rng.random()` for crossover (only
+when N >= 2), `rng.integers(1, N)` for the cut (only when crossover fires),
+then `rng.random(N)` and `rng.integers(lb, ub + 1, N)` for the first child's
+mutation and the same two draws for the second child's.  The tail swaps and
+mutations are applied to the whole offspring array afterwards.  Keeping this
+per-pair order keeps the random stream, and so every output, unchanged.
 
 The final answer is not the whole front: among individuals whose every
 objective clears a threshold, the one with the smallest objective sum wins.
@@ -24,14 +34,6 @@ from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
 Bounds = tuple[int, int]
-
-
-@dataclass
-class Individual:
-    genome: Genome
-    objectives: np.ndarray | None = None
-    rank: int | None = None
-    crowding: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,37 +62,44 @@ class GAConfig:
 
 
 def initialize(config: GAConfig, bounds: Bounds, num_genes: int,
-               rng=None) -> list[Individual]:
-    """M genomes drawn i.i.d. uniform over [w_LB, w_UB]^num_genes."""
+               rng=None) -> np.ndarray:
+    """(M, num_genes) genomes drawn i.i.d. uniform over [w_LB, w_UB]."""
     lb, ub = bounds
     if lb > ub:
         raise ValueError(f"need w_LB <= w_UB, got ({lb}, {ub})")
     if num_genes < 1:
         raise ValueError("need at least one gene")
     rng = as_rng(config.rng_seed if rng is None else rng)
-    genomes = rng.integers(lb, ub + 1, size=(config.population_size, num_genes))
-    return [Individual(genome=tuple(int(g) for g in row)) for row in genomes]
+    return rng.integers(lb, ub + 1, size=(config.population_size, num_genes))
 
 
-def crossover(parent_a: Genome, parent_b: Genome, rate: float,
-              rng=None) -> tuple[Genome, Genome]:
-    """Single-point gene exchange with probability `rate`, else plain copies."""
-    if len(parent_a) != len(parent_b):
-        raise ValueError("parent genomes differ in length")
-    rng = as_rng(rng)
-    if len(parent_a) >= 2 and rng.random() < rate:
-        cut = int(rng.integers(1, len(parent_a)))
-        return (parent_a[:cut] + parent_b[cut:], parent_b[:cut] + parent_a[cut:])
-    return parent_a, parent_b
+def offspring(parents: np.ndarray, crossover_rate: float, mutation_rate: float,
+              bounds: Bounds, rng) -> np.ndarray:
+    """Children of the parent pairs (rows 2k, 2k + 1), row for row.
 
-
-def mutate(genome: Genome, rate: float, bounds: Bounds, rng=None) -> Genome:
-    """Each gene independently redrawn uniform in bounds with probability `rate`."""
+    Each pair exchanges the genes from a uniform cut onwards with probability
+    `crossover_rate`; each child gene is then redrawn uniform in bounds with
+    probability `mutation_rate`.  Draws follow the module's per-pair order.
+    """
+    parents = np.asarray(parents)
+    m, n = parents.shape
     lb, ub = bounds
     rng = as_rng(rng)
-    flips = rng.random(len(genome)) < rate
-    draws = rng.integers(lb, ub + 1, size=len(genome))
-    return tuple(int(d) if hit else g for g, hit, d in zip(genome, flips, draws))
+    cuts = np.full(m // 2, n)          # n: the pair does not cross
+    flips = np.empty((m, n), dtype=bool)
+    draws = np.empty((m, n), dtype=parents.dtype)
+    for pair in range(m // 2):
+        if n >= 2 and rng.random() < crossover_rate:
+            cuts[pair] = rng.integers(1, n)
+        for child in (2 * pair, 2 * pair + 1):
+            flips[child] = rng.random(n) < mutation_rate
+            draws[child] = rng.integers(lb, ub + 1, size=n)
+    tail = np.arange(n) >= cuts[:, None]
+    first, second = parents[0::2], parents[1::2]
+    children = np.empty_like(parents)
+    children[0::2] = np.where(tail, second, first)
+    children[1::2] = np.where(tail, first, second)
+    return np.where(flips, draws, children)
 
 
 # sorting and selection ------------------------------------------------------
@@ -136,25 +145,24 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _survivor_order(population: Sequence[Individual]) -> list[int]:
-    """Indices sorted by (rank, -crowding, genome); ranks/crowding must be set."""
-    return sorted(range(len(population)),
-                  key=lambda i: (population[i].rank,
-                                 -population[i].crowding,
-                                 population[i].genome))
-
-
-def select_survivors(population: Sequence[Individual], size: int) -> list[Individual]:
-    """Top `size` individuals by (front rank, crowding, genome) from the merge."""
-    if len(population) < size:
-        raise ValueError(f"cannot select {size} from {len(population)}")
-    objectives = np.array([ind.objectives for ind in population], dtype=float)
-    for rank, front in enumerate(non_dominated_sort(objectives)):
-        dists = crowding_distance(objectives[front])
-        for idx, d in zip(front, dists):
-            population[idx].rank = rank
-            population[idx].crowding = float(d)
-    return [population[i] for i in _survivor_order(population)[:size]]
+def select_survivors(genomes: np.ndarray, objectives: np.ndarray,
+                     size: int) -> np.ndarray:
+    """Row indices of the top `size` by (front rank, -crowding, genome)."""
+    genomes = np.asarray(genomes)
+    objectives = np.asarray(objectives, dtype=float)
+    if len(genomes) != len(objectives):
+        raise ValueError(f"{len(genomes)} genomes but {len(objectives)} "
+                         f"objective rows")
+    if len(genomes) < size:
+        raise ValueError(f"cannot select {size} from {len(genomes)}")
+    rank = np.empty(len(genomes), dtype=int)
+    crowding = np.empty(len(genomes))
+    for r, front in enumerate(non_dominated_sort(objectives)):
+        rank[front] = r
+        crowding[front] = crowding_distance(objectives[front])
+    # np.lexsort sorts by its last key first and is stable
+    order = np.lexsort((*genomes.T[::-1], -crowding, rank))
+    return order[:size]
 
 
 # the driver -----------------------------------------------------------------
@@ -173,85 +181,58 @@ class GenerationStats:
 
 @dataclass
 class RunResult:
-    population: list[Individual]
+    genomes: np.ndarray        # (M, num_genes) final population
+    objectives: np.ndarray     # (M, N), row i scores genomes[i]
     history: list[GenerationStats] = field(default_factory=list)
-    metric_context: MetricContext | None = None
-
-    @property
-    def front(self) -> np.ndarray:
-        """Objective vectors of the final non-dominated set."""
-        objectives = np.array([ind.objectives for ind in self.population])
-        return nondominated(objectives)
-
-
-def _evaluate(population: list[Individual],
-              evaluator: Callable[[np.ndarray], np.ndarray]) -> None:
-    pending = [ind for ind in population if ind.objectives is None]
-    if not pending:
-        return
-    genomes = np.array([ind.genome for ind in pending])
-    values = np.asarray(evaluator(genomes), dtype=float)
-    if values.shape[0] != len(pending) or values.ndim != 2:
-        raise ValueError(f"evaluator returned shape {values.shape} "
-                         f"for {len(pending)} genomes")
-    for ind, row in zip(pending, values):
-        ind.objectives = row
 
 
 def run(config: GAConfig, bounds: Bounds, num_genes: int,
         evaluator: Callable[[np.ndarray], np.ndarray],
-        metric_context: MetricContext | None = None,
-        record_metrics: bool = True) -> RunResult:
+        metric_context: MetricContext | None = None) -> RunResult:
     """Alg.-1 loop: shuffle-pair, crossover, mutate, merge, sort, truncate.
 
-    `evaluator` maps an (m, num_genes) genome array to (m, N) objectives and
-    must be deterministic.  With `record_metrics`, per-generation stats are
-    computed on each generation's first front; GD/IGD default to the final
-    front of this very run as reference when no `metric_context` is supplied.
+    The population is an (M, num_genes) genome array and its (M, N)
+    objective array.  `evaluator` maps an (m, num_genes) genome array to
+    (m, N) objectives and must be deterministic; it sees the initial
+    population once and then each generation's offspring.  One seeded
+    stream draws the initial genomes, then per generation `permutation(M)`
+    and the per-pair draws of :func:`offspring` (crossover, cut, then each
+    child's flips and redraws).  Given a `metric_context`, every
+    generation's first front is scored against it into `history`; without
+    one, no per-generation work beyond the GA itself is done.
     """
+    def score(genomes: np.ndarray) -> np.ndarray:
+        values = np.asarray(evaluator(genomes), dtype=float)
+        if values.ndim != 2 or len(values) != len(genomes):
+            raise ValueError(f"evaluator returned shape {values.shape} "
+                             f"for {len(genomes)} genomes")
+        return values
+
     rng = as_rng(config.rng_seed)
     mutation_rate = (config.mutation_rate if config.mutation_rate is not None
                      else 1.0 / num_genes)
-    population = initialize(config, bounds, num_genes, rng=rng)
-    _evaluate(population, evaluator)
-
-    initial_objectives = np.array([ind.objectives for ind in population])
-    snapshots: list[np.ndarray] = []
-    sums: list[float] = []
-    feasibles: list[int] = []
-
     m = config.population_size
-    for _ in range(config.max_generations):
-        order = rng.permutation(m)
-        offspring: list[Individual] = []
-        for k in range(0, m, 2):
-            a = population[order[k]].genome
-            b = population[order[k + 1]].genome
-            child_a, child_b = crossover(a, b, config.crossover_rate, rng)
-            offspring.append(Individual(mutate(child_a, mutation_rate, bounds, rng)))
-            offspring.append(Individual(mutate(child_b, mutation_rate, bounds, rng)))
-        _evaluate(offspring, evaluator)
-        population = select_survivors(population + offspring, m)
-
-        if record_metrics:
-            objectives = np.array([ind.objectives for ind in population])
-            snapshots.append(nondominated(objectives))
-            sums.append(float(objectives.sum(axis=1).min()))
-            feasibles.append(int(np.sum(np.all(objectives <= config.threshold,
-                                               axis=1))))
-
-    context = metric_context
+    genomes = initialize(config, bounds, num_genes, rng=rng)
+    objectives = score(genomes)
     history: list[GenerationStats] = []
-    if snapshots:
-        if context is None:
-            context = MetricContext.from_initial(initial_objectives, snapshots[-1])
-        for gen, front in enumerate(snapshots, start=1):
-            stats = context.evaluate(front)
+    for gen in range(1, config.max_generations + 1):
+        parents = genomes[rng.permutation(m)]
+        children = offspring(parents, config.crossover_rate, mutation_rate,
+                             bounds, rng)
+        genomes = np.concatenate([genomes, children])
+        objectives = np.concatenate([objectives, score(children)])
+        keep = select_survivors(genomes, objectives, m)
+        genomes, objectives = genomes[keep], objectives[keep]
+
+        if metric_context is not None:
+            stats = metric_context.evaluate(nondominated(objectives))
             history.append(GenerationStats(
                 generation=gen, hypervolume=stats["hypervolume"],
                 gd=stats["gd"], igd=stats["igd"], spacing=stats["spacing"],
-                best_sum=sums[gen - 1], feasible_count=feasibles[gen - 1]))
-    return RunResult(population=population, history=history, metric_context=context)
+                best_sum=float(objectives.sum(axis=1).min()),
+                feasible_count=int(np.sum(np.all(objectives <= config.threshold,
+                                                 axis=1)))))
+    return RunResult(genomes=genomes, objectives=objectives, history=history)
 
 
 @dataclass(frozen=True)
@@ -262,25 +243,29 @@ class Optimum:
     feasible: bool    # False: no individual met the threshold; fell back
 
 
-def pick_optimum(population: Sequence[Individual], threshold: float) -> Optimum:
-    """Sum-minimiser among individuals with every objective <= threshold.
+def pick_optimum(genomes: np.ndarray, objectives: np.ndarray,
+                 threshold: float) -> Optimum:
+    """Sum-minimiser among rows with every objective <= threshold.
 
     Falls back to the unfiltered sum-minimiser (flagged via `feasible=False`)
     when nothing clears the threshold; ties break on genome order so equal
     populations always yield the same answer.
     """
-    if not population:
+    genomes = np.asarray(genomes)
+    objectives = np.asarray(objectives, dtype=float)
+    if len(genomes) == 0:
         raise ValueError("population is empty")
-    evaluated = [ind for ind in population if ind.objectives is not None]
-    if len(evaluated) != len(population):
-        raise ValueError("population has unevaluated individuals")
-    feasible = [ind for ind in evaluated
-                if np.all(np.asarray(ind.objectives) <= threshold)]
-    pool, flag = (feasible, True) if feasible else (list(evaluated), False)
-    best = min(pool, key=lambda ind: (float(np.sum(ind.objectives)), ind.genome))
-    return Optimum(windows=best.genome,
-                   objectives=np.asarray(best.objectives, dtype=float),
-                   objective_sum=float(np.sum(best.objectives)),
+    if len(objectives) != len(genomes):
+        raise ValueError(f"{len(genomes)} genomes but {len(objectives)} "
+                         f"objective rows")
+    feasible = np.all(objectives <= threshold, axis=1)
+    flag = bool(feasible.any())
+    pool = np.flatnonzero(feasible) if flag else np.arange(len(genomes))
+    sums = objectives[pool].sum(axis=1)
+    i = np.lexsort((*genomes[pool].T[::-1], sums))[0]
+    return Optimum(windows=tuple(int(g) for g in genomes[pool[i]]),
+                   objectives=objectives[pool[i]],
+                   objective_sum=float(sums[i]),
                    feasible=flag)
 
 

@@ -230,8 +230,7 @@ def packet_reception_ratio(i: int, params: SpsParams,
 class FairnessInputs:
     """Everything Eq.-17/18-style fairness evaluation needs for one network.
 
-    `windows` holds the configured per-vehicle selection windows; the
-    fairness kernels take trial windows as an argument instead.  Every link
+    The fairness kernels take trial windows as an argument.  Every link
     runs at |h| = 1 and is evaluated at the mid-pass epoch: a vehicle at
     speed v sits at x = R/2 halfway through its residence time, so with the
     RSU at (R/2, y, z) every lane sees the same link distance.
@@ -240,23 +239,14 @@ class FairnessInputs:
     channel: ChannelParams
     sps: SpsParams
     speeds: tuple[float, ...]                 # m/s, magnitudes
-    windows: tuple[int, ...]                  # slots, one per vehicle
     rsu_position: tuple[float, float, float] = (250.0, 10.0, 5.0)
     coverage_range: float = 500.0             # m
 
     def __post_init__(self):
-        n = len(self.speeds)
-        if n < 1:
+        if len(self.speeds) < 1:
             raise ConfigError("fairness.speeds", "need at least one vehicle")
         if any(v <= 0 for v in self.speeds):
             raise ConfigError("fairness.speeds", "all speeds must be positive")
-        if len(self.windows) != n:
-            raise ConfigError("fairness.windows", "length must match speeds")
-        w_lb, w_ub = self.sps.window_bounds
-        for w in self.windows:
-            if not (w_lb <= w <= w_ub):
-                raise ConfigError("fairness.windows",
-                                  f"window {w} outside [{w_lb}, {w_ub}]")
         if self.coverage_range <= 0:
             raise ConfigError("fairness.coverage_range", "must be positive")
 

@@ -100,9 +100,6 @@ class ResourceGrid:
     def record(self, slot: int, subchannel: int, vehicle_id: int) -> None:
         self.occupancy.setdefault((slot, subchannel), set()).add(vehicle_id)
 
-    def occupants(self, slot: int, subchannel: int) -> set[int]:
-        return self.occupancy.get((slot, subchannel), set())
-
     def prune(self, before_slot: int) -> None:
         """Drop records older than ``before_slot`` (sensing-window retention)."""
         stale = [key for key in self.occupancy if key[0] < before_slot]
@@ -363,7 +360,6 @@ class _Tally:
     transmissions: int = 0
     collided: int = 0
     delivered: int = 0
-    expiries: int = 0
     reselections: int = 0
     pair_trials: int = 0
     pair_weight: float = 0.0   # sum of per-pair hit probabilities
@@ -388,7 +384,7 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
     max_slots = max(10_000, 20 * (target_reselections + 1) * rc_hi * period)
     start = min(agent.current_prb[0] for agent in agents)
 
-    transmissions = collided = delivered = expiries = 0
+    transmissions = collided = delivered = 0
     reselections = 0
     pair_trials = 0
     pair_weight = pair_sq = 0.0
@@ -415,7 +411,6 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
             transmissions += 1
             collided += int(event.collided)
             delivered += int(in_slot == 1)
-            expiries += int(event.expired)
             if event.reselected:
                 reselections += 1
                 agent = agents[event.vehicle_id]
@@ -446,7 +441,6 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
     tally.transmissions += transmissions
     tally.collided += collided
     tally.delivered += delivered
-    tally.expiries += expiries
     tally.reselections += reselections
     tally.pair_trials += pair_trials
     tally.pair_weight += pair_weight

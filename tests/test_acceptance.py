@@ -220,13 +220,13 @@ def test_nsga2_operators_match_brute_force():
     for trial in range(15):
         trial_rng = np.random.default_rng(400 + trial)
         objs = trial_rng.uniform(0.0, 1.0, size=(24, 2)).round(2)
-        pop = make_population(objs.tolist())
-        kept = [ind.genome for ind in select_survivors(pop, 12)]
-        if kept != brute_force_survivors(pop, 12):
+        genomes, objs = make_population(objs.tolist())
+        kept = [tuple(g) for g in genomes[select_survivors(genomes, objs, 12)].tolist()]
+        if kept != brute_force_survivors(genomes, objs, 12):
             problems.append(f"survivor trial {trial}: selection mismatch")
         for threshold in (0.2, 0.6, 2.0):
-            if pick_optimum(pop, threshold).windows != \
-                    brute_force_pick(pop, threshold):
+            if pick_optimum(genomes, objs, threshold).windows != \
+                    brute_force_pick(genomes, objs, threshold):
                 problems.append(
                     f"pick trial {trial} threshold {threshold}: mismatch")
 

@@ -64,7 +64,7 @@ def test_resolve_threshold_anchors_at_mid_bound_window():
     k_net, _ = fairness_indices(
         [(mid,) * 2],
         FairnessInputs(channel=config.channel, sps=config.sps,
-                       speeds=inputs.speeds, windows=(mid,) * 2,
+                       speeds=inputs.speeds,
                        rsu_position=inputs.rsu_position,
                        coverage_range=inputs.coverage_range))
     assert resolve_threshold(config, inputs) == pytest.approx(

@@ -5,12 +5,10 @@ from v2i_fairness import moo_metrics, nsga2
 from v2i_fairness.errors import ConfigError
 from v2i_fairness.nsga2 import (
     GAConfig,
-    Individual,
-    crossover,
     crowding_distance,
     initialize,
-    mutate,
     non_dominated_sort,
+    offspring,
     pick_optimum,
     run,
     select_survivors,
@@ -56,8 +54,9 @@ def brute_force_crowding(front_objs) -> list[float]:
     return dist
 
 
-def brute_force_survivors(population, size):
-    objs = [tuple(ind.objectives) for ind in population]
+def brute_force_survivors(genomes, objectives, size):
+    genomes = [tuple(int(g) for g in row) for row in genomes]
+    objs = [tuple(row) for row in objectives]
     fronts = brute_force_fronts(objs)
     ranked = {}
     for rank, front in enumerate(fronts):
@@ -65,16 +64,40 @@ def brute_force_survivors(population, size):
         dists = brute_force_crowding([objs[i] for i in front])
         for i, d in zip(front, dists):
             ranked[i] = (rank, d)
-    order = sorted(range(len(population)),
-                   key=lambda i: (ranked[i][0], -ranked[i][1], population[i].genome))
-    return [population[i].genome for i in order[:size]]
+    order = sorted(range(len(genomes)),
+                   key=lambda i: (ranked[i][0], -ranked[i][1], genomes[i]))
+    return [genomes[i] for i in order[:size]]
 
 
-def brute_force_pick(population, threshold):
-    feasible = [ind for ind in population
-                if all(o <= threshold for o in ind.objectives)]
-    pool = feasible if feasible else list(population)
-    return min(pool, key=lambda ind: (sum(ind.objectives), ind.genome)).genome
+def brute_force_pick(genomes, objectives, threshold):
+    rows = [(tuple(int(g) for g in genome), tuple(obj))
+            for genome, obj in zip(genomes, objectives)]
+    feasible = [row for row in rows if all(o <= threshold for o in row[1])]
+    pool = feasible if feasible else rows
+    return min(pool, key=lambda row: (sum(row[1]), row[0]))[0]
+
+
+def reference_offspring(parents, crossover_rate, mutation_rate, bounds, rng):
+    """The per-pair crossover/mutate tuple loop that ``offspring`` replaced."""
+    lb, ub = bounds
+
+    def crossover(parent_a, parent_b):
+        if len(parent_a) >= 2 and rng.random() < crossover_rate:
+            cut = int(rng.integers(1, len(parent_a)))
+            return (parent_a[:cut] + parent_b[cut:], parent_b[:cut] + parent_a[cut:])
+        return parent_a, parent_b
+
+    def mutate(genome):
+        flips = rng.random(len(genome)) < mutation_rate
+        draws = rng.integers(lb, ub + 1, size=len(genome))
+        return tuple(int(d) if hit else g for g, hit, d in zip(genome, flips, draws))
+
+    children = []
+    for k in range(0, len(parents), 2):
+        child_a, child_b = crossover(tuple(int(g) for g in parents[k]),
+                                     tuple(int(g) for g in parents[k + 1]))
+        children += [mutate(child_a), mutate(child_b)]
+    return children
 
 
 def toy_evaluator(genomes: np.ndarray) -> np.ndarray:
@@ -82,11 +105,18 @@ def toy_evaluator(genomes: np.ndarray) -> np.ndarray:
     return np.stack([g.sum(axis=1), ((g - 15.0) ** 2).sum(axis=1)], axis=1)
 
 
+def toy_context(cfg, bounds=(0, 15), num_genes=4) -> moo_metrics.MetricContext:
+    """Metric reference data for toy runs: the initial population's own front."""
+    initial = toy_evaluator(initialize(cfg, bounds, num_genes))
+    return moo_metrics.MetricContext.from_initial(
+        initial, moo_metrics.nondominated(initial))
+
+
 def make_population(objectives, genomes=None):
+    """(genomes, objectives) arrays; genome i defaults to (i,)."""
     if genomes is None:
         genomes = [(i,) for i in range(len(objectives))]
-    return [Individual(genome=tuple(g), objectives=np.asarray(o, dtype=float))
-            for g, o in zip(genomes, objectives)]
+    return np.array(genomes), np.asarray(objectives, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +144,19 @@ def test_gaconfig_rejects_invalid(kwargs, key):
 
 def test_initialize_degenerate_bounds():
     pop = initialize(GAConfig(population_size=10, rng_seed=3), (7, 7), 4)
-    assert all(ind.genome == (7, 7, 7, 7) for ind in pop)
+    assert pop.shape == (10, 4)
+    assert np.all(pop == 7)
 
 
 def test_initialize_deterministic():
     a = initialize(GAConfig(rng_seed=11), (0, 15), 4)
     b = initialize(GAConfig(rng_seed=11), (0, 15), 4)
-    assert [i.genome for i in a] == [i.genome for i in b]
+    np.testing.assert_array_equal(a, b)
 
 
 def test_initialize_uniform_mean():
     pop = initialize(GAConfig(population_size=10_000, rng_seed=0), (0, 15), 4)
-    genes = np.array([ind.genome for ind in pop], dtype=float)
+    genes = pop.astype(float)
     # uniform over 0..15: mean 7.5, var (16^2 - 1)/12
     se = np.sqrt((16.0 ** 2 - 1) / 12.0 / genes.size)
     assert abs(genes.mean() - 7.5) < 3 * se
@@ -136,62 +167,84 @@ def test_initialize_rejects_bad_bounds():
         initialize(GAConfig(), (5, 2), 4)
 
 
+@pytest.mark.parametrize("num_genes", [1, 4])
+@pytest.mark.parametrize("bounds", [(0, 15), (5, 5)])
+@pytest.mark.parametrize("mutation_rate", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("crossover_rate", [0.0, 0.9, 1.0])
+def test_offspring_matches_per_pair_reference(crossover_rate, mutation_rate,
+                                              bounds, num_genes):
+    """Same children and the same random stream as the per-pair tuple loop."""
+    for seed in range(3):
+        parents = np.random.default_rng(100 + seed).integers(
+            bounds[0], bounds[1] + 1, size=(40, num_genes))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = offspring(parents, crossover_rate, mutation_rate, bounds, rng)
+        want = reference_offspring(parents, crossover_rate, mutation_rate,
+                                   bounds, ref_rng)
+        assert [tuple(row) for row in got.tolist()] == want
+        assert rng.random() == ref_rng.random()   # stream left in the same state
+
+
 def test_crossover_rate_zero_copies():
-    a, b = (1, 2, 3, 4), (5, 6, 7, 8)
-    assert crossover(a, b, 0.0, rng=0) == (a, b)
+    parents = np.array([(1, 2, 3, 4), (5, 6, 7, 8)])
+    np.testing.assert_array_equal(
+        offspring(parents, 0.0, 0.0, (0, 15), 0), parents)
 
 
 def test_crossover_identical_parents():
-    a = (3, 3, 9, 1)
+    parents = np.array([(3, 3, 9, 1)] * 2)
     for seed in range(5):
-        assert crossover(a, a, 1.0, rng=seed) == (a, a)
+        np.testing.assert_array_equal(
+            offspring(parents, 1.0, 0.0, (0, 15), seed), parents)
 
 
 def test_crossover_preserves_locus_multisets():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        a = tuple(rng.integers(0, 16, 4))
-        b = tuple(rng.integers(0, 16, 4))
-        c, d = crossover(a, b, 1.0, rng)
+    parents = rng.integers(0, 16, size=(400, 4))
+    children = offspring(parents, 1.0, 0.0, (0, 15), rng)
+    for k in range(0, 400, 2):
         for locus in range(4):
-            assert {c[locus], d[locus]} == {a[locus], b[locus]}
+            assert ({children[k, locus], children[k + 1, locus]}
+                    == {parents[k, locus], parents[k + 1, locus]})
 
 
 def test_crossover_is_single_point():
-    a, b = (0, 0, 0, 0), (1, 1, 1, 1)
-    child, _ = crossover(a, b, 1.0, rng=2)
-    # genes switch source exactly once along the genome
-    switches = sum(child[i] != child[i + 1] for i in range(3))
-    assert switches == 1
+    parents = np.array([(0, 0, 0, 0), (1, 1, 1, 1)] * 50)
+    children = offspring(parents, 1.0, 0.0, (0, 15), 2)
+    # genes switch source exactly once along every genome
+    switches = (children[:, 1:] != children[:, :-1]).sum(axis=1)
+    assert np.all(switches == 1)
 
 
 def test_mutate_rate_zero_unchanged():
-    g = (4, 9, 0, 15)
-    assert mutate(g, 0.0, (0, 15), rng=0) == g
+    parents = np.array([(4, 9, 0, 15), (2, 2, 7, 1)])
+    np.testing.assert_array_equal(
+        offspring(parents, 0.0, 0.0, (0, 15), 0), parents)
 
 
 def test_mutate_forced_value_with_degenerate_bounds():
-    g = (5, 5, 5)
-    assert mutate(g, 1.0, (5, 5), rng=1) == g
+    parents = np.full((2, 3), 5)
+    np.testing.assert_array_equal(
+        offspring(parents, 1.0, 1.0, (5, 5), 1), parents)
 
 
 def test_mutate_stays_in_bounds():
     rng = np.random.default_rng(4)
-    for _ in range(100):
-        out = mutate((0, 15, 7, 3), 1.0, (0, 15), rng)
-        assert all(0 <= g <= 15 for g in out)
+    parents = np.array([(0, 15, 7, 3)] * 200)
+    out = offspring(parents, 0.9, 1.0, (0, 15), rng)
+    assert np.all((out >= 0) & (out <= 15))
 
 
 def test_mutate_change_fraction():
     # a redraw can re-hit the old value, so the observable change rate is
     # rate * (1 - 1/(span+1))
     rng = np.random.default_rng(8)
-    genome = tuple([7] * 10_000)
-    out = mutate(genome, 0.1, (0, 15), rng)
-    changed = sum(a != b for a, b in zip(genome, out))
+    parents = np.full((2, 5_000), 7)
+    out = offspring(parents, 0.0, 0.1, (0, 15), rng)
+    changed = int(np.sum(out != parents))
     expect = 0.1 * (1 - 1 / 16.0)
-    se = np.sqrt(expect * (1 - expect) / len(genome))
-    assert abs(changed / len(genome) - expect) < 3 * se
+    se = np.sqrt(expect * (1 - expect) / parents.size)
+    assert abs(changed / parents.size - expect) < 3 * se
 
 
 # ---------------------------------------------------------------------------
@@ -283,34 +336,40 @@ def test_crowding_matches_brute_force(seed):
 
 
 def test_select_survivors_first_front_exact_fit():
-    pop = make_population([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [3.0, 0.0],
-                           [5.0, 5.0], [6.0, 6.0]])
-    out = select_survivors(pop, 4)
-    assert {ind.genome for ind in out} == {(0,), (1,), (2,), (3,)}
-    assert all(ind.rank == 0 for ind in out)
+    genomes, objs = make_population([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0],
+                                     [3.0, 0.0], [5.0, 5.0], [6.0, 6.0]])
+    keep = select_survivors(genomes, objs, 4)
+    assert {tuple(g) for g in genomes[keep].tolist()} == {(0,), (1,), (2,), (3,)}
+    assert set(keep.tolist()) == set(non_dominated_sort(objs)[0].tolist())
 
 
 def test_select_survivors_single_slot():
-    pop = make_population([[0.0, 3.0], [1.0, 1.0], [3.0, 0.0], [4.0, 4.0]])
-    out = select_survivors(pop, 1)
-    assert len(out) == 1
-    assert out[0].rank == 0
-    assert np.isinf(out[0].crowding)
+    genomes, objs = make_population([[0.0, 3.0], [1.0, 1.0], [3.0, 0.0],
+                                     [4.0, 4.0]])
+    keep = select_survivors(genomes, objs, 1)
+    assert len(keep) == 1
+    front = non_dominated_sort(objs)[0].tolist()
+    assert keep[0] in front
+    assert np.isinf(crowding_distance(objs[front])[front.index(keep[0])])
 
 
 def test_select_survivors_rejects_undersized():
     with pytest.raises(ValueError):
-        select_survivors(make_population([[1.0, 1.0]]), 2)
+        select_survivors(*make_population([[1.0, 1.0]]), 2)
+
+
+def test_select_survivors_rejects_mismatched_rows():
+    with pytest.raises(ValueError):
+        select_survivors(np.zeros((3, 2), dtype=int), np.zeros((2, 2)), 1)
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_select_survivors_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     objs = rng.uniform(0, 1, size=(40, 3)).round(2)   # rounding forces ties
-    genomes = [tuple(g) for g in rng.integers(0, 16, size=(40, 4))]
-    pop = make_population(objs, genomes)
-    got = [ind.genome for ind in select_survivors(pop, 20)]
-    assert got == brute_force_survivors(pop, 20)
+    genomes = rng.integers(0, 16, size=(40, 4))
+    got = [tuple(g) for g in genomes[select_survivors(genomes, objs, 20)].tolist()]
+    assert got == brute_force_survivors(genomes, objs, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +379,18 @@ def test_select_survivors_matches_brute_force(seed):
 
 def test_run_zero_generations_returns_initial():
     cfg = GAConfig(population_size=12, max_generations=0, rng_seed=5)
-    out = run(cfg, (0, 15), 4, toy_evaluator)
+    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
     init = initialize(cfg, (0, 15), 4)
-    assert [i.genome for i in out.population] == [i.genome for i in init]
+    np.testing.assert_array_equal(out.genomes, init)
+    np.testing.assert_array_equal(out.objectives, toy_evaluator(init))
     assert out.history == []
 
 
 def test_run_deterministic():
     cfg = GAConfig(population_size=20, max_generations=10, rng_seed=21)
-    a = run(cfg, (0, 15), 4, toy_evaluator)
-    b = run(cfg, (0, 15), 4, toy_evaluator)
-    assert [i.genome for i in a.population] == [i.genome for i in b.population]
+    a = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    b = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    np.testing.assert_array_equal(a.genomes, b.genomes)
     assert [(s.hypervolume, s.gd, s.best_sum) for s in a.history] == \
            [(s.hypervolume, s.gd, s.best_sum) for s in b.history]
 
@@ -340,7 +400,19 @@ def test_run_seed_changes_outcome():
     other = GAConfig(population_size=20, max_generations=5, rng_seed=2)
     a = run(cfg, (0, 15), 4, toy_evaluator)
     b = run(other, (0, 15), 4, toy_evaluator)
-    assert [i.genome for i in a.population] != [i.genome for i in b.population]
+    assert not np.array_equal(a.genomes, b.genomes)
+
+
+def test_run_objectives_score_their_genomes():
+    cfg = GAConfig(population_size=20, max_generations=6, rng_seed=9)
+    out = run(cfg, (0, 15), 4, toy_evaluator)
+    np.testing.assert_array_equal(out.objectives, toy_evaluator(out.genomes))
+
+
+def test_run_rejects_misshapen_evaluator_output():
+    cfg = GAConfig(population_size=8, max_generations=1, rng_seed=0)
+    with pytest.raises(ValueError, match="evaluator returned"):
+        run(cfg, (0, 15), 4, lambda g: toy_evaluator(g)[:-1])
 
 
 def test_run_single_objective_elitism():
@@ -348,17 +420,16 @@ def test_run_single_objective_elitism():
         return np.asarray(genomes, dtype=float).sum(axis=1, keepdims=True)
 
     cfg = GAConfig(population_size=16, max_generations=15, rng_seed=2)
-    out = run(cfg, (0, 15), 3, single, record_metrics=False)
+    out = run(cfg, (0, 15), 3, single)
     init = initialize(cfg, (0, 15), 3)
-    best_init = min(sum(i.genome) for i in init)
-    best_final = min(sum(i.genome) for i in out.population)
-    assert best_final <= best_init
+    assert out.genomes.sum(axis=1).min() <= init.sum(axis=1).min()
 
 
 def test_run_best_sum_never_increases():
     cfg = GAConfig(population_size=20, max_generations=25, rng_seed=7)
-    out = run(cfg, (0, 15), 4, toy_evaluator, record_metrics=True)
+    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
     sums = [s.best_sum for s in out.history]
+    assert len(sums) == cfg.max_generations
     assert all(b <= a + 1e-12 for a, b in zip(sums, sums[1:]))
 
 
@@ -373,10 +444,10 @@ def test_run_per_objective_minima_nonincreasing():
         seen.append(vals)
         return vals
 
-    out = run(cfg, (0, 15), 4, recording, record_metrics=False)
-    final = np.array([ind.objectives for ind in out.population])
+    out = run(cfg, (0, 15), 4, recording)
     all_evaluated = np.vstack(seen)
-    np.testing.assert_allclose(final.min(axis=0), all_evaluated.min(axis=0))
+    np.testing.assert_allclose(out.objectives.min(axis=0),
+                               all_evaluated.min(axis=0))
 
 
 def test_run_without_metrics_takes_no_front_snapshots(monkeypatch):
@@ -390,16 +461,16 @@ def test_run_without_metrics_takes_no_front_snapshots(monkeypatch):
     monkeypatch.setattr(nsga2, "nondominated", counting)
     monkeypatch.setattr(moo_metrics, "nondominated", counting)
     cfg = GAConfig(population_size=20, max_generations=6, rng_seed=4)
-    out = run(cfg, (0, 15), 4, toy_evaluator, record_metrics=False)
+    out = run(cfg, (0, 15), 4, toy_evaluator)
     assert calls == []
     assert out.history == []
-    run(cfg, (0, 15), 4, toy_evaluator, record_metrics=True)
+    run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
     assert len(calls) >= cfg.max_generations     # the counter does see snapshots
 
 
 def test_run_emits_one_record_per_generation():
     cfg = GAConfig(population_size=12, max_generations=8, rng_seed=0)
-    out = run(cfg, (0, 15), 4, toy_evaluator)
+    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
     assert [s.generation for s in out.history] == list(range(1, 9))
     for s in out.history:
         assert np.isfinite([s.hypervolume, s.gd, s.igd, s.spacing]).all()
@@ -407,9 +478,8 @@ def test_run_emits_one_record_per_generation():
 
 def test_run_bounds_closure():
     cfg = GAConfig(population_size=16, max_generations=10, rng_seed=3)
-    out = run(cfg, (2, 9), 4, toy_evaluator, record_metrics=False)
-    for ind in out.population:
-        assert all(2 <= g <= 9 for g in ind.genome)
+    out = run(cfg, (2, 9), 4, toy_evaluator)
+    assert np.all((out.genomes >= 2) & (out.genomes <= 9))
 
 
 # ---------------------------------------------------------------------------
@@ -418,36 +488,37 @@ def test_run_bounds_closure():
 
 
 def test_pick_optimum_single_feasible():
-    pop = make_population([[0.05, 0.05], [0.5, 0.01], [0.3, 0.3]])
-    out = pick_optimum(pop, threshold=0.1)
+    out = pick_optimum(*make_population([[0.05, 0.05], [0.5, 0.01], [0.3, 0.3]]),
+                       threshold=0.1)
     assert out.windows == (0,)
     assert out.feasible
 
 
 def test_pick_optimum_infinite_threshold_global_minimum():
-    pop = make_population([[0.4, 0.4], [0.1, 0.6], [0.3, 0.3]])
-    out = pick_optimum(pop, threshold=np.inf)
+    out = pick_optimum(*make_population([[0.4, 0.4], [0.1, 0.6], [0.3, 0.3]]),
+                       threshold=np.inf)
     assert out.windows == (2,)
     assert out.objective_sum == pytest.approx(0.6)
 
 
 def test_pick_optimum_flags_fallback():
-    pop = make_population([[0.4, 0.4], [0.2, 0.5]])
-    out = pick_optimum(pop, threshold=0.01)
+    out = pick_optimum(*make_population([[0.4, 0.4], [0.2, 0.5]]), threshold=0.01)
     assert not out.feasible
     assert out.windows == (1,)   # smaller sum even though infeasible
 
 
 def test_pick_optimum_empty_population_raises():
     with pytest.raises(ValueError):
-        pick_optimum([], threshold=0.1)
+        pick_optimum(np.zeros((0, 4), dtype=int), np.zeros((0, 4)), threshold=0.1)
+    with pytest.raises(ValueError):
+        pick_optimum(np.zeros((3, 4), dtype=int), np.zeros((2, 4)), threshold=0.1)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_pick_optimum_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     objs = rng.uniform(0, 1, size=(50, 4)).round(1)
-    genomes = [tuple(g) for g in rng.integers(0, 16, size=(50, 4))]
-    pop = make_population(objs, genomes)
+    genomes = rng.integers(0, 16, size=(50, 4))
     threshold = float(np.median(objs.max(axis=1)))
-    assert pick_optimum(pop, threshold).windows == brute_force_pick(pop, threshold)
+    assert pick_optimum(genomes, objs, threshold).windows == \
+        brute_force_pick(genomes, objs, threshold)

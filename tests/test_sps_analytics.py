@@ -334,7 +334,7 @@ def network_index(inputs: FairnessInputs, windows) -> float:
 
 def test_fairness_single_vehicle_unit_case():
     fi = FairnessInputs(channel=unit_snr_channel(), sps=SpsParams(),
-                        speeds=(1.0,), windows=(8,))
+                        speeds=(1.0,))
     assert vehicle_index(fi, (8,), 0) == pytest.approx(1.0)
     assert network_index(fi, (8,)) == pytest.approx(1.0)
 
@@ -342,8 +342,7 @@ def test_fairness_single_vehicle_unit_case():
 def test_fairness_halves_when_speed_doubles():
     p = SpsParams()
     for v in (5.0, 20.0, 25.0):
-        a = FairnessInputs(channel=unit_snr_channel(), sps=p, speeds=(v, 24.0),
-                           windows=(8, 8))
+        a = FairnessInputs(channel=unit_snr_channel(), sps=p, speeds=(v, 24.0))
         b = replace(a, speeds=(2 * v, 24.0))
         assert vehicle_index(b, (8, 8), 0) == pytest.approx(
             vehicle_index(a, (8, 8), 0) / 2.0)
@@ -352,38 +351,39 @@ def test_fairness_halves_when_speed_doubles():
 @given(st.floats(20.0, 29.0), st.floats(0.1, 5.0))
 def test_fairness_decreasing_in_speed(v, dv):
     a = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                       speeds=(v, 24.0), windows=(8, 8))
+                       speeds=(v, 24.0))
     b = replace(a, speeds=(v + dv, 24.0))
     assert vehicle_index(b, (8, 8), 0) < vehicle_index(a, (8, 8), 0)
 
 
 def test_fairness_nonincreasing_in_neighbour_window():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(24.0, 26.0), windows=(8, 2))
+                        speeds=(24.0, 26.0))
     assert vehicle_index(fi, (8, 14), 0) < vehicle_index(fi, (8, 2), 0)
 
 
 def test_network_index_matches_homogeneous_vehicles():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(25.0,) * 4, windows=(9,) * 4)
+                        speeds=(25.0,) * 4)
     k_net, k_i = fairness_indices([(9,) * 4], fi)
     np.testing.assert_allclose(k_i[0], k_net[0], rtol=1e-12)
 
 
 def test_network_index_between_homogeneous_substitutions():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(22.0, 24.0, 26.0, 28.0), windows=(3, 7, 11, 15))
-    k_net = network_index(fi, fi.windows)
+                        speeds=(22.0, 24.0, 26.0, 28.0))
+    windows = (3, 7, 11, 15)
+    k_net = network_index(fi, windows)
     homogeneous = []
-    for v, w in zip(fi.speeds, fi.windows):
-        sub = replace(fi, speeds=(v,) * 4, windows=(w,) * 4)
-        homogeneous.append(network_index(sub, sub.windows))
+    for v, w in zip(fi.speeds, windows):
+        sub = replace(fi, speeds=(v,) * 4)
+        homogeneous.append(network_index(sub, (w,) * 4))
     assert min(homogeneous) <= k_net <= max(homogeneous)
 
 
 def test_mid_pass_distance_is_speed_independent():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(22.0, 28.0), windows=(8, 8))
+                        speeds=(22.0, 28.0))
     assert fi.epoch_distance(22.0) == pytest.approx(fi.epoch_distance(28.0))
     assert fi.epoch_distance(22.0) == pytest.approx(math.sqrt(125.0))
 
@@ -393,10 +393,10 @@ def test_mid_pass_distance_is_speed_independent():
 # ---------------------------------------------------------------------------
 
 
-def four_lane_inputs(windows=(8, 8, 8, 8), model="bounded-pool"):
+def four_lane_inputs(model="bounded-pool"):
     return FairnessInputs(channel=ChannelParams(),
                           sps=SpsParams(collision_model=model),
-                          speeds=(22.0, 24.0, 26.0, 28.0), windows=tuple(windows))
+                          speeds=(22.0, 24.0, 26.0, 28.0))
 
 
 def objective_row(w, inputs: FairnessInputs) -> np.ndarray:
@@ -405,7 +405,7 @@ def objective_row(w, inputs: FairnessInputs) -> np.ndarray:
 
 def test_objective_vector_zero_for_homogeneous_network():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(25.0,) * 4, windows=(8,) * 4)
+                        speeds=(25.0,) * 4)
     np.testing.assert_allclose(objective_row([6] * 4, fi), 0.0, atol=1e-15)
 
 
@@ -463,8 +463,4 @@ def test_objective_batch_shape_validation():
 
 def test_fairness_inputs_validation():
     with pytest.raises(ConfigError, match="speeds"):
-        FairnessInputs(channel=ChannelParams(), sps=SpsParams(), speeds=(),
-                       windows=())
-    with pytest.raises(ConfigError, match="windows"):
-        FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                       speeds=(25.0,), windows=(99,))
+        FairnessInputs(channel=ChannelParams(), sps=SpsParams(), speeds=())
