@@ -1,11 +1,12 @@
 """Pareto-front quality metrics: hypervolume, GD, IGD, spacing.
 
-All metrics assume minimisation.  Hypervolume is exact: a sweep for two
-objectives and the WFG-style inclusion–exclusion recursion for three or more
-(the fairness problem has one objective per lane, so four).  GD uses the
-classical p=2 definition sqrt(sum of squared nearest distances) / |front|;
-IGD is GD with the arguments swapped; spacing is the standard deviation of
-nearest-neighbour L1 distances.
+All metrics assume minimisation.  Hypervolume is exact: a slab sweep on the
+last objective (after HV3D, Beume et al. 2009), O(n^(d-1)) time for n points
+and d >= 3 objectives with (n, n) temporaries (the fairness problem has one
+objective per lane, so four).  GD uses the classical p=2 definition
+sqrt(sum of squared nearest distances) / |front|; IGD is GD with the
+arguments swapped; spacing is the standard deviation of nearest-neighbour L1
+distances.
 """
 
 from __future__ import annotations
@@ -58,33 +59,28 @@ def hypervolume(front, reference_point) -> float:
     pts = nondominated(pts)
     if pts.shape[1] == 1:
         return float(ref[0] - pts.min())
+    return _hv_slabs(pts, ref)
+
+
+def _hv_slabs(pts: np.ndarray, ref: np.ndarray) -> float:
+    """Sorted on the last objective, the slab from row k up to the next row
+    (the reference after the last) is dominated by exactly rows 0..k: sum
+    each height times their (d-1)-volume.  At three objectives, row k of `ys`
+    holds the objective-2 values of rows 0..k in objective-1 order and the
+    reference elsewhere; its running minimum is that prefix's staircase."""
+    pts = pts[np.argsort(pts[:, -1], kind="stable")]
+    heights = np.diff(pts[:, -1], append=ref[-1])
     if pts.shape[1] == 2:
-        return _hv_sweep_2d(pts, ref)
-    # WFG recursion benefits from a deterministic sort: later points limit
-    # earlier ones more aggressively when sorted on the first objective.
-    order = np.lexsort(pts.T[::-1])
-    return _hv_wfg(pts[order], ref)
-
-
-def _hv_sweep_2d(pts: np.ndarray, ref: np.ndarray) -> float:
-    order = np.argsort(pts[:, 0])
-    pts = pts[order]
-    total = 0.0
-    for k, (f1, f2) in enumerate(pts):
-        right = ref[0] if k + 1 == len(pts) else pts[k + 1, 0]
-        total += (ref[1] - f2) * (right - f1)
-    return float(total)
-
-
-def _hv_wfg(pts: np.ndarray, ref: np.ndarray) -> float:
-    total = 0.0
-    for k in range(len(pts)):
-        total += np.prod(ref - pts[k])
-        rest = pts[k + 1:]
-        if len(rest):
-            limited = nondominated(np.maximum(pts[k], rest))
-            total -= _hv_wfg(limited, ref)
-    return float(total)
+        sections = ref[0] - np.minimum.accumulate(pts[:, 0])
+    elif pts.shape[1] == 3:
+        by_x = np.argsort(pts[:, 0], kind="stable")
+        ys = np.where(by_x <= np.arange(len(pts))[:, None], pts[by_x, 1], ref[1])
+        widths = np.diff(pts[by_x, 0], append=ref[0])
+        sections = (ref[1] - np.minimum.accumulate(ys, axis=1)) @ widths
+    else:
+        sections = np.array([_hv_slabs(pts[:k + 1, :-1], ref[:-1])
+                             for k in range(len(pts))])
+    return float(heights @ sections)
 
 
 def generational_distance(front, reference_front) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .moo_metrics import MetricContext, dominance_matrix, nondominated
+from .moo_metrics import MetricContext, dominance_matrix
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -225,7 +225,7 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
         genomes, objectives = genomes[keep], objectives[keep]
 
         if metric_context is not None:
-            stats = metric_context.evaluate(nondominated(objectives))
+            stats = metric_context.evaluate(objectives)
             history.append(GenerationStats(
                 generation=gen, hypervolume=stats["hypervolume"],
                 gd=stats["gd"], igd=stats["igd"], spacing=stats["spacing"],

@@ -106,10 +106,7 @@ def test_hv_point_beyond_reference_rejected():
 
 
 def test_hv_three_dimensional_hand_case():
-    # two cuboids with overlap: union = 0.5^3 + 0.5^3 - 0.25*0.5*0.25... do it
-    # explicitly: a=(0,0,.5) box .5*.5*.5*... relative to ref (1,1,1):
-    # vol(a) = 1*1*.5? no: a=(0,0,.5) -> (1-0)(1-0)(1-.5)=.5
-    # b=(.5,.5,0) -> .5*.5*1=.25; overlap=max(a,b)=(.5,.5,.5)->.125
+    # vol(a) + vol(b) - vol(max(a, b)) = 1*1*0.5 + 0.5*0.5*1 - 0.5*0.5*0.5
     front = np.array([[0.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
     assert hypervolume(front, [1.0, 1.0, 1.0]) == pytest.approx(0.5 + 0.25 - 0.125)
 
@@ -130,7 +127,8 @@ def test_hv_translation_invariance():
     assert hypervolume(front + shift, ref + shift) == pytest.approx(base)
 
 
-@pytest.mark.parametrize("dim, npts, seed", [(2, 20, 1), (2, 50, 2), (4, 15, 3), (4, 30, 4)])
+@pytest.mark.parametrize("dim, npts, seed",
+                         [(2, 20, 1), (2, 50, 2), (3, 20, 5), (4, 15, 3), (4, 30, 4)])
 def test_hv_matches_monte_carlo(dim, npts, seed):
     rng = np.random.default_rng(seed)
     front = rng.uniform(0, 1, size=(npts, dim))
@@ -138,6 +136,42 @@ def test_hv_matches_monte_carlo(dim, npts, seed):
     exact = hypervolume(front, ref)
     estimate = mc_hypervolume(front, ref, seed=seed + 100)
     assert exact == pytest.approx(estimate, rel=0.01)
+
+
+def wfg_reference(pts, ref) -> float:
+    """The inclusion-exclusion recursion (While, Bradstreet & Barone 2012)
+    `hypervolume` used for three or more objectives before the slab sweep;
+    `nondominated` returns its rows sorted, the order the recursion ran in."""
+    pts = nondominated(pts)
+    total = 0.0
+    for k in range(len(pts)):
+        total += np.prod(ref - pts[k])
+        rest = pts[k + 1:]
+        if len(rest):
+            total -= wfg_reference(np.maximum(pts[k], rest), ref)
+    return float(total)
+
+
+@pytest.mark.parametrize("dim, npts", [(3, 200), (4, 40), (4, 120), (5, 30)])
+@pytest.mark.parametrize("seed", range(3))
+def test_hv_matches_wfg_on_continuous_fronts(dim, npts, seed):
+    """Points on the unit sphere's positive orthant are mutually non-dominated."""
+    rng = np.random.default_rng(seed)
+    pts = np.abs(rng.normal(size=(npts, dim)))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    ref = np.full(dim, 1.1)
+    assert hypervolume(pts, ref) == pytest.approx(wfg_reference(pts, ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_hv_matches_wfg_on_tied_integers(dim, seed):
+    """Integers in 0..3 against a reference of 3 give duplicate rows, ties and
+    points on the reference plane, so some slabs have zero height."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 4, size=(int(rng.integers(2, 200)), dim)).astype(float)
+    ref = np.full(dim, 3.0)
+    assert hypervolume(pts, ref) == pytest.approx(wfg_reference(pts, ref), rel=1e-12)
 
 
 def test_hv_permutation_invariance():
