@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .moo_metrics import MetricContext, nondominated
-from .nsga2 import initialize, pick_optimum, run, write_history
+from .moo_metrics import nondominated
+from .nsga2 import pick_optimum, run, write_history
 from .sps_analytics import (
     FairnessInputs,
     SpsParams,
@@ -182,13 +182,8 @@ def run_fig3_metrics(config: ExperimentConfig,
     try:
         reference = run(replace(ga, max_generations=5 * ga.max_generations),
                         bounds, len(speeds), evaluator)
-        # same seed => run() below regenerates this exact initial population
-        seed_pop = initialize(ga, bounds, len(speeds),
-                              rng=np.random.default_rng(seed))
-        context = MetricContext.from_initial(evaluator(seed_pop),
-                                             nondominated(reference.objectives))
         result = run(ga, bounds, len(speeds), evaluator,
-                     metric_context=context)
+                     reference_front=nondominated(reference.objectives))
     except Exception as exc:
         raise RuntimeError(f"optimizer failed in metrics run: {exc}") from exc
     write_history(result.history, out / "nsga2_history.csv")

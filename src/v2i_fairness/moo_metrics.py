@@ -119,7 +119,6 @@ class MetricContext:
 
     reference_point: np.ndarray
     reference_front: np.ndarray
-    normalization: tuple[np.ndarray, np.ndarray] | None = None  # per-obj (lo, hi)
 
     def __post_init__(self):
         if _as_points(self.reference_front).shape[1] != len(self.reference_point):

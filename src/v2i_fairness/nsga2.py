@@ -188,7 +188,7 @@ class RunResult:
 
 def run(config: GAConfig, bounds: Bounds, num_genes: int,
         evaluator: Callable[[np.ndarray], np.ndarray],
-        metric_context: MetricContext | None = None) -> RunResult:
+        reference_front: np.ndarray | None = None) -> RunResult:
     """Alg.-1 loop: shuffle-pair, crossover, mutate, merge, sort, truncate.
 
     The population is an (M, num_genes) genome array and its (M, N)
@@ -197,9 +197,10 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
     population once and then each generation's offspring.  One seeded
     stream draws the initial genomes, then per generation `permutation(M)`
     and the per-pair draws of :func:`offspring` (crossover, cut, then each
-    child's flips and redraws).  Given a `metric_context`, every
-    generation's first front is scored against it into `history`; without
-    one, no per-generation work beyond the GA itself is done.
+    child's flips and redraws).  Given a `reference_front`, every
+    generation's first front is scored into `history` against it and the
+    HV reference point of the initial objectives (`MetricContext.from_initial`);
+    without one, no per-generation work beyond the GA itself is done.
     """
     def score(genomes: np.ndarray) -> np.ndarray:
         values = np.asarray(evaluator(genomes), dtype=float)
@@ -214,6 +215,8 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
     m = config.population_size
     genomes = initialize(config, bounds, num_genes, rng=rng)
     objectives = score(genomes)
+    context = (None if reference_front is None
+               else MetricContext.from_initial(objectives, reference_front))
     history: list[GenerationStats] = []
     for gen in range(1, config.max_generations + 1):
         parents = genomes[rng.permutation(m)]
@@ -224,8 +227,8 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
         keep = select_survivors(genomes, objectives, m)
         genomes, objectives = genomes[keep], objectives[keep]
 
-        if metric_context is not None:
-            stats = metric_context.evaluate(objectives)
+        if context is not None:
+            stats = context.evaluate(objectives)
             history.append(GenerationStats(
                 generation=gen, hypervolume=stats["hypervolume"],
                 gd=stats["gd"], igd=stats["igd"], spacing=stats["spacing"],

@@ -31,6 +31,7 @@ Every constant can also be overridden explicitly through SpsParams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -111,8 +112,9 @@ class SpsParams:
             if val is not None and val <= 0:
                 raise ConfigError(f"sps.{key}", "override must be positive")
 
-    @property
+    @cached_property
     def slots_per_rri(self) -> int:
+        # validated once in __post_init__; the simulator reads it per transmission
         return slots_per_rri(self.numerology, self.rri)
 
 

@@ -6,6 +6,14 @@ simulator serves as an independent oracle for the closed-form collision
 and reception models in :mod:`v2i_fairness.sps_analytics`: it never calls
 into that module and shares no derivation with it.
 
+An episode's state is its list of :class:`SpsAgentState` (next PRB,
+reselection counter, window); the numerology, counter range and keep
+probability are read from the shared :class:`SpsParams`.  With
+``SimConfig.sensing`` the episode also keeps a sensing history, a dict from
+``(slot, subchannel)`` to the ids of the vehicles heard there, pruned to the
+sensing window; reselection excludes the reservations it announces.  Blind
+selection keeps no history at all: its pick is uniform over the window.
+
 Collision probability is reported under two readings because the
 closed-form model is ambiguous about which event it counts:
 
@@ -33,23 +41,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ModelDomainError
+from .errors import ConfigError
 from .sps_analytics import SpsParams
 from .util import as_rng
 
 __all__ = [
     "SimConfig",
-    "ResourceGrid",
     "SpsAgentState",
     "TransmissionEvent",
     "CollisionEstimate",
     "PrrEstimate",
     "reselect",
     "step",
-    "simulate",
     "estimate_collision_prob",
     "estimate_prr",
 ]
+
+# Sensing history: (slot, subchannel) -> ids of the vehicles heard there.
+History = dict[tuple[int, int], set[int]]
 
 
 @dataclass(frozen=True)
@@ -87,33 +96,11 @@ class SimConfig:
         return (self.sps.selection_window,) * self.num_vehicles
 
 
-class ResourceGrid:
-    """Occupancy of (slot, subchannel) PRBs over a trailing slot range."""
-
-    def __init__(self, subchannels: int, slots: int) -> None:
-        if subchannels < 1 or slots < 1:
-            raise ModelDomainError("resource grid needs >=1 subchannel and slot")
-        self.subchannels = subchannels
-        self.slots = slots
-        self.occupancy: dict[tuple[int, int], set[int]] = {}
-
-    def record(self, slot: int, subchannel: int, vehicle_id: int) -> None:
-        self.occupancy.setdefault((slot, subchannel), set()).add(vehicle_id)
-
-    def prune(self, before_slot: int) -> None:
-        """Drop records older than ``before_slot`` (sensing-window retention)."""
-        stale = [key for key in self.occupancy if key[0] < before_slot]
-        for key in stale:
-            del self.occupancy[key]
-
-
 @dataclass
 class SpsAgentState:
     current_prb: tuple[int, int]  # (absolute slot of next transmission, subchannel)
     rc: int
-    rri_slots: int
     window: int
-    keep_probability: float
 
 
 class TransmissionEvent(NamedTuple):
@@ -125,59 +112,55 @@ class TransmissionEvent(NamedTuple):
     reselected: bool   # ... and the keep-probability draw chose a fresh PRB
 
 
-def _candidate_floor(candidate_fraction: float, num_candidates: int) -> int:
-    return max(1, math.ceil(candidate_fraction * num_candidates))
-
-
 def reselect(
     agent: SpsAgentState,
-    grid: ResourceGrid,
-    rng=None,
+    params: SpsParams,
+    rng,
+    history: History | None = None,
     *,
-    candidate_fraction: float = 0.2,
-    own_id: int | None = None,
+    own_id: int,
 ) -> tuple[int, int]:
     """Draw the agent's next PRB from its selection window.
 
     Candidates are every PRB in the ``window + 1`` slots after the trigger
-    (the agent's current transmission slot).  Each observed transmission in
-    ``grid`` announces a standing reservation repeating every
-    ``agent.rri_slots``; candidates matching one are excluded.  If that
-    leaves fewer than ``ceil(candidate_fraction * |candidates|)``, the
-    exclusions observed least recently are re-admitted until the floor is
-    met.  The final pick is uniform over what remains.
+    (the agent's current transmission slot), slot by slot and subchannel by
+    subchannel.  Without ``history`` (blind selection) the pick is uniform
+    over all of them.  Otherwise each transmission in ``history`` that some
+    vehicle other than ``own_id`` made announces a standing reservation
+    repeating every ``params.slots_per_rri`` slots; candidates matching one
+    are excluded.  If that leaves fewer than
+    ``ceil(params.candidate_fraction * |candidates|)``, the exclusions
+    observed least recently are re-admitted until the floor is met.  Either
+    way the pick is one ``rng.integers`` draw over what remains.
     """
     if agent.window < 0:
         raise ValueError(f"selection window must be >= 0, got {agent.window}")
-    if grid.subchannels < 1 or grid.slots < 1:
-        raise ModelDomainError("cannot reselect from an empty resource grid")
-    rng = as_rng(rng)
-
     trigger = agent.current_prb[0]
-    period = agent.rri_slots
+    period = params.slots_per_rri
     slots = range(trigger + 1, trigger + 2 + agent.window)
-    candidates = [(s, c) for s in slots for c in range(grid.subchannels)]
+    candidates = [(s, c) for s in slots for c in range(params.num_subchannels)]
+    available = candidates
+    if history:
+        # Most recent observation per announced reservation (slot phase, subchannel).
+        last_seen: dict[tuple[int, int], int] = {}
+        for (obs_slot, obs_sc), vehicles in history.items():
+            if vehicles <= {own_id}:
+                continue
+            key = (obs_slot % period, obs_sc)
+            last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
 
-    # Most recent observation per announced reservation (slot phase, subchannel).
-    last_seen: dict[tuple[int, int], int] = {}
-    for (obs_slot, obs_sc), vehicles in grid.occupancy.items():
-        if own_id is not None and vehicles <= {own_id}:
-            continue
-        key = (obs_slot % period, obs_sc)
-        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
-
-    available = [prb for prb in candidates if (prb[0] % period, prb[1]) not in last_seen]
-    floor = _candidate_floor(candidate_fraction, len(candidates))
-    if len(available) < floor:
-        readmit_order = sorted(last_seen, key=lambda key: (last_seen[key], key))
-        admitted = set(map(tuple, available))
-        for key in readmit_order:
-            if len(admitted) >= floor:
-                break
-            admitted.update(
-                prb for prb in candidates if (prb[0] % period, prb[1]) == key
-            )
-        available = sorted(admitted)
+        available = [prb for prb in candidates
+                     if (prb[0] % period, prb[1]) not in last_seen]
+        floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
+        if len(available) < floor:
+            admitted = set(available)
+            for key in sorted(last_seen, key=lambda key: (last_seen[key], key)):
+                if len(admitted) >= floor:
+                    break
+                admitted.update(
+                    prb for prb in candidates if (prb[0] % period, prb[1]) == key
+                )
+            available = sorted(admitted)
 
     return available[int(rng.integers(0, len(available)))]
 
@@ -185,33 +168,33 @@ def reselect(
 def step(
     agents: list[SpsAgentState],
     slot_index: int,
-    grid: ResourceGrid,
     params: SpsParams,
     rng,
-    *,
-    sensing_view: ResourceGrid | None = None,
+    history: History | None = None,
 ) -> list[TransmissionEvent]:
     """Advance every agent reserved on this slot; return its transmissions.
 
-    All transmissions are recorded into ``grid`` before any agent advances,
-    so reselections within the slot see a consistent picture.  Reselection
-    candidates are screened against ``sensing_view`` (defaults to ``grid``;
-    pass an empty grid to model selection without sensing).
+    With sensing, every transmission is recorded into ``history`` before
+    any agent advances, so reselections within the slot see a consistent
+    picture.  Each transmitter, in vehicle order, counts its reselection
+    counter down; on expiry it draws ``rng.random()`` against
+    ``params.keep_probability`` and a fresh counter, then either keeps its
+    PRB for the next period or calls :func:`reselect` with ``history``
+    (``None`` for blind selection).
     """
-    if sensing_view is None:
-        sensing_view = grid
     transmitters = [
         (vid, agent)
         for vid, agent in enumerate(agents)
         if agent.current_prb[0] == slot_index
     ]
     per_subchannel: dict[int, int] = {}
-    for _, agent in transmitters:
+    for vid, agent in transmitters:
         sc = agent.current_prb[1]
         per_subchannel[sc] = per_subchannel.get(sc, 0) + 1
-    for vid, agent in transmitters:
-        grid.record(slot_index, agent.current_prb[1], vid)
+        if history is not None:
+            history.setdefault((slot_index, sc), set()).add(vid)
 
+    period = params.slots_per_rri
     rc_lo, rc_hi = params.rc_range
     events = []
     for vid, agent in transmitters:
@@ -220,21 +203,15 @@ def step(
         expired = agent.rc <= 0
         reselected = False
         if expired:
-            keep = rng.random() < agent.keep_probability
+            keep = rng.random() < params.keep_probability
             agent.rc = int(rng.integers(rc_lo, rc_hi + 1))
             if keep:
-                agent.current_prb = (slot_index + agent.rri_slots, subchannel)
+                agent.current_prb = (slot_index + period, subchannel)
             else:
                 reselected = True
-                agent.current_prb = reselect(
-                    agent_at_trigger(agent, slot_index, subchannel),
-                    sensing_view,
-                    rng,
-                    candidate_fraction=params.candidate_fraction,
-                    own_id=vid,
-                )
+                agent.current_prb = reselect(agent, params, rng, history, own_id=vid)
         else:
-            agent.current_prb = (slot_index + agent.rri_slots, subchannel)
+            agent.current_prb = (slot_index + period, subchannel)
         events.append(
             TransmissionEvent(
                 slot=slot_index,
@@ -246,19 +223,6 @@ def step(
             )
         )
     return events
-
-
-def agent_at_trigger(
-    agent: SpsAgentState, slot_index: int, subchannel: int
-) -> SpsAgentState:
-    """View of ``agent`` anchored at its trigger slot for reselection."""
-    return SpsAgentState(
-        current_prb=(slot_index, subchannel),
-        rc=agent.rc,
-        rri_slots=agent.rri_slots,
-        window=agent.window,
-        keep_probability=agent.keep_probability,
-    )
 
 
 def _sensing_slots(params: SpsParams) -> int:
@@ -279,45 +243,10 @@ def _init_agents(config: SimConfig, rng) -> list[SpsAgentState]:
                     int(rng.integers(0, params.num_subchannels)),
                 ),
                 rc=int(rng.integers(rc_lo, rc_hi + 1)),
-                rri_slots=period,
                 window=window,
-                keep_probability=params.keep_probability,
             )
         )
     return agents
-
-
-def simulate(config: SimConfig, num_slots: int, rng=None) -> list[TransmissionEvent]:
-    """Run one episode over ``num_slots`` slots from a uniform-phase start."""
-    if num_slots < 1:
-        raise ValueError(f"num_slots must be >= 1, got {num_slots}")
-    rng = as_rng(rng)
-    params = config.sps
-    agents = _init_agents(config, rng)
-    grid = ResourceGrid(params.num_subchannels, num_slots)
-    blind = ResourceGrid(params.num_subchannels, num_slots)
-    retention = _sensing_slots(params)
-    last_prune = 0
-
-    events: list[TransmissionEvent] = []
-    while True:
-        slot = min(agent.current_prb[0] for agent in agents)
-        if slot >= num_slots:
-            break
-        if slot - last_prune >= retention:
-            grid.prune(slot - retention)
-            last_prune = slot
-        events.extend(
-            step(
-                agents,
-                slot,
-                grid,
-                params,
-                rng,
-                sensing_view=grid if config.sensing else blind,
-            )
-        )
-    return events
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +265,6 @@ class CollisionEstimate:
     num_transmissions: int
     num_reselections: int
     cluster_se: float  # reselection reading, episode-level spread
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"collided fraction {self.collided_fraction:.5f} ± {self.collided_se:.5f}, "
-            f"reselection collision {self.reselection_collision:.5f} "
-            f"± {self.reselection_se:.5f} "
-            f"({self.num_reselections} reselections)"
-        )
 
 
 @dataclass(frozen=True)
@@ -369,14 +290,17 @@ class _Tally:
     episode_delivery_rates: list[float] = field(default_factory=list)
 
 
+def _phase_hits(trigger: int, window: int, phase: int, period: int) -> int:
+    """Slots in ``trigger + 1 .. trigger + 1 + window`` equal to ``phase`` mod ``period``."""
+    return (trigger + 1 + window - phase) // period - (trigger - phase) // period
+
+
 def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally) -> None:
     params = config.sps
     period = params.slots_per_rri
     n_sc = params.num_subchannels
     agents = _init_agents(config, rng)
-    open_ended = 10**12  # episodes run to an event count, not a slot horizon
-    grid = ResourceGrid(n_sc, open_ended)
-    blind = ResourceGrid(n_sc, open_ended)
+    history: History | None = {} if config.sensing else None
     retention = _sensing_slots(params)
     last_prune = 0
 
@@ -391,52 +315,42 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
     while reselections < target_reselections:
         slot = min(agent.current_prb[0] for agent in agents)
         if slot - start > max_slots:
-            break  # e.g. keep_probability == 1: reselection never triggers
-        if slot - last_prune >= retention:
-            grid.prune(slot - retention)
+            break  # guard: stop an episode whose reselections never come
+        if history is not None and slot - last_prune >= retention:
+            for key in [key for key in history if key[0] < slot - retention]:
+                del history[key]
             last_prune = slot
-        snapshot = [
-            (agent.current_prb[0] % period, agent.current_prb[1]) for agent in agents
-        ]
-        events = step(
-            agents,
-            slot,
-            grid,
-            params,
-            rng,
-            sensing_view=grid if config.sensing else blind,
-        )
+        events = step(agents, slot, params, rng, history)
         in_slot = len(events)
+        before = None  # (phase, subchannel) of every reservation before the step
         for event in events:
             transmissions += 1
             collided += int(event.collided)
             delivered += int(in_slot == 1)
-            if event.reselected:
-                reselections += 1
-                agent = agents[event.vehicle_id]
-                new_slot, new_sc = agent.current_prb
-                window = agent.window
-                trigger = event.slot
-                for vid, (phase_j, sc_j) in enumerate(snapshot):
-                    if vid == event.vehicle_id:
-                        continue
-                    if config.sensing:
-                        # exclusions skew the pick; score the realised choice
-                        hit = float(
-                            new_slot % period == phase_j and new_sc == sc_j
-                        )
-                    else:
-                        # pick is uniform over the window: score its hit
-                        # probability against the neighbour's reservation
-                        matching = sum(
-                            1
-                            for s in range(trigger + 1, trigger + 2 + window)
-                            if s % period == phase_j
-                        )
-                        hit = matching / ((window + 1) * n_sc)
-                    pair_trials += 1
-                    pair_weight += hit
-                    pair_sq += hit * hit
+            if not event.reselected:
+                continue
+            reselections += 1
+            if before is None:
+                # transmitters were on (slot, subchannel); no one else moved
+                before = [(a.current_prb[0] % period, a.current_prb[1]) for a in agents]
+                for ev in events:
+                    before[ev.vehicle_id] = (slot % period, ev.subchannel)
+            new_slot, new_sc = agents[event.vehicle_id].current_prb
+            window = agents[event.vehicle_id].window
+            for vid, (phase_j, sc_j) in enumerate(before):
+                if vid == event.vehicle_id:
+                    continue
+                if history is not None:
+                    # exclusions skew the pick; score the realised choice
+                    hit = float(new_slot % period == phase_j and new_sc == sc_j)
+                else:
+                    # pick is uniform over the window: score its hit
+                    # probability against the neighbour's reservation
+                    hit = (_phase_hits(slot, window, phase_j, period)
+                           / ((window + 1) * n_sc))
+                pair_trials += 1
+                pair_weight += hit
+                pair_sq += hit * hit
 
     tally.transmissions += transmissions
     tally.collided += collided

@@ -105,11 +105,9 @@ def toy_evaluator(genomes: np.ndarray) -> np.ndarray:
     return np.stack([g.sum(axis=1), ((g - 15.0) ** 2).sum(axis=1)], axis=1)
 
 
-def toy_context(cfg, bounds=(0, 15), num_genes=4) -> moo_metrics.MetricContext:
-    """Metric reference data for toy runs: the initial population's own front."""
-    initial = toy_evaluator(initialize(cfg, bounds, num_genes))
-    return moo_metrics.MetricContext.from_initial(
-        initial, moo_metrics.nondominated(initial))
+# the toy problem's Pareto front: equal genes trade the sum against the
+# squared distance to 15
+TOY_FRONT = toy_evaluator(np.repeat(np.arange(16)[:, None], 4, axis=1))
 
 
 def make_population(objectives, genomes=None):
@@ -379,7 +377,7 @@ def test_select_survivors_matches_brute_force(seed):
 
 def test_run_zero_generations_returns_initial():
     cfg = GAConfig(population_size=12, max_generations=0, rng_seed=5)
-    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    out = run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
     init = initialize(cfg, (0, 15), 4)
     np.testing.assert_array_equal(out.genomes, init)
     np.testing.assert_array_equal(out.objectives, toy_evaluator(init))
@@ -388,8 +386,8 @@ def test_run_zero_generations_returns_initial():
 
 def test_run_deterministic():
     cfg = GAConfig(population_size=20, max_generations=10, rng_seed=21)
-    a = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
-    b = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    a = run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
+    b = run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
     np.testing.assert_array_equal(a.genomes, b.genomes)
     assert [(s.hypervolume, s.gd, s.best_sum) for s in a.history] == \
            [(s.hypervolume, s.gd, s.best_sum) for s in b.history]
@@ -427,7 +425,7 @@ def test_run_single_objective_elitism():
 
 def test_run_best_sum_never_increases():
     cfg = GAConfig(population_size=20, max_generations=25, rng_seed=7)
-    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    out = run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
     sums = [s.best_sum for s in out.history]
     assert len(sums) == cfg.max_generations
     assert all(b <= a + 1e-12 for a, b in zip(sums, sums[1:]))
@@ -466,13 +464,13 @@ def test_run_without_metrics_takes_no_front_snapshots(monkeypatch):
     out = run(cfg, (0, 15), 4, toy_evaluator)
     assert calls == []
     assert out.history == []
-    run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
     assert len(calls) >= cfg.max_generations     # the counter does see snapshots
 
 
 def test_run_emits_one_record_per_generation():
     cfg = GAConfig(population_size=12, max_generations=8, rng_seed=0)
-    out = run(cfg, (0, 15), 4, toy_evaluator, metric_context=toy_context(cfg))
+    out = run(cfg, (0, 15), 4, toy_evaluator, reference_front=TOY_FRONT)
     assert [s.generation for s in out.history] == list(range(1, 9))
     for s in out.history:
         assert np.isfinite([s.hypervolume, s.gd, s.igd, s.spacing]).all()

@@ -1,20 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from v2i_fairness.errors import ConfigError, ModelDomainError
+from v2i_fairness.errors import ConfigError
 from v2i_fairness.sps_analytics import (
     SpsParams,
     collision_probability,
     packet_reception_ratio,
 )
 from v2i_fairness.sps_sim import (
-    ResourceGrid,
+    CollisionEstimate,
+    PrrEstimate,
     SimConfig,
     SpsAgentState,
+    _phase_hits,
     estimate_collision_prob,
     estimate_prr,
     reselect,
-    simulate,
     step,
 )
 
@@ -34,14 +37,29 @@ def make_params(rri=0.05, n_sc=2, w=4, rc=(5, 15), keep=0.0, gamma=0.2):
     )
 
 
-def make_agent(slot=0, sc=0, rc=5, period=50, w=4, keep=0.0):
-    return SpsAgentState(
-        current_prb=(slot, sc),
-        rc=rc,
-        rri_slots=period,
-        window=w,
-        keep_probability=keep,
-    )
+def make_agent(slot=0, sc=0, rc=5, w=4):
+    return SpsAgentState(current_prb=(slot, sc), rc=rc, window=w)
+
+
+def replay(cfg, num_slots, seed):
+    """Every transmission of one blind episode over ``num_slots`` slots.
+
+    Agents start on uniform phases, subchannels and counters, then ``step``
+    runs slot by slot until the next transmission falls past the horizon.
+    """
+    params = cfg.sps
+    rc_lo, rc_hi = params.rc_range
+    rng = np.random.default_rng(seed)
+    agents = [
+        make_agent(slot=int(rng.integers(0, params.slots_per_rri)),
+                   sc=int(rng.integers(0, params.num_subchannels)),
+                   rc=int(rng.integers(rc_lo, rc_hi + 1)), w=w)
+        for w in cfg.effective_windows
+    ]
+    events = []
+    while (slot := min(agent.current_prb[0] for agent in agents)) < num_slots:
+        events.extend(step(agents, slot, params, rng))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -69,76 +87,67 @@ def test_sim_config_default_windows():
     assert cfg.effective_windows == (7, 7, 7)
 
 
-def test_resource_grid_rejects_degenerate():
-    with pytest.raises(ModelDomainError):
-        ResourceGrid(0, 100)
-    with pytest.raises(ModelDomainError):
-        ResourceGrid(2, 0)
-
-
 # ---------------------------------------------------------------------------
 # reselect
 # ---------------------------------------------------------------------------
 
 
 def test_reselect_forced_single_prb():
-    agent = make_agent(slot=10, w=0, period=50)
-    grid = ResourceGrid(1, 10**6)
-    assert reselect(agent, grid, rng=0) == (11, 0)
+    agent = make_agent(slot=10, w=0)
+    params = make_params(n_sc=1)
+    assert reselect(agent, params, np.random.default_rng(0), own_id=0) == (11, 0)
 
 
 def test_reselect_avoids_sensed_reservations():
     # N_Sc=2, w=1 -> four candidates; three phases observed -> one left
-    agent = make_agent(slot=100, w=1, period=50)
-    grid = ResourceGrid(2, 10**6)
-    grid.record(51, 0, 7)   # phase 1 = slot 101
-    grid.record(52, 0, 8)   # phase 2 = slot 102
-    grid.record(51, 1, 9)   # phase 1, other subchannel
-    assert reselect(agent, grid, rng=3, own_id=0) == (102, 1)
+    agent = make_agent(slot=100, w=1)
+    history = {
+        (51, 0): {7},   # phase 1 = slot 101
+        (52, 0): {8},   # phase 2 = slot 102
+        (51, 1): {9},   # phase 1, other subchannel
+    }
+    choice = reselect(agent, make_params(n_sc=2), np.random.default_rng(3),
+                      history, own_id=0)
+    assert choice == (102, 1)
 
 
 def test_reselect_ignores_own_history():
-    agent = make_agent(slot=10, w=0, period=50)
-    grid = ResourceGrid(1, 10**6)
-    grid.record(11 - 50, 0, 4)  # own phase, announced by vehicle 4 itself
-    assert reselect(agent, grid, rng=0, own_id=4) == (11, 0)
+    agent = make_agent(slot=10, w=0)
+    history = {(11 - 50, 0): {4}}  # own phase, announced by vehicle 4 itself
+    choice = reselect(agent, make_params(n_sc=1), np.random.default_rng(0),
+                      history, own_id=4)
+    assert choice == (11, 0)
 
 
 def test_reselect_floor_readmits_least_recent():
     # every candidate phase excluded; the floor of one forces the stalest
     # observation back into the pool, so the choice is deterministic
-    agent = make_agent(slot=200, w=3, period=50)
-    grid = ResourceGrid(1, 10**6)
-    grid.record(151, 0, 1)  # phase 1 -> candidate slot 201, seen longest ago
-    grid.record(152, 0, 1)
-    grid.record(153, 0, 1)
-    grid.record(154, 0, 1)
-    choice = reselect(agent, grid, rng=5, own_id=0, candidate_fraction=0.2)
+    agent = make_agent(slot=200, w=3)
+    history = {
+        (151, 0): {1},  # phase 1 -> candidate slot 201, seen longest ago
+        (152, 0): {1},
+        (153, 0): {1},
+        (154, 0): {1},
+    }
+    params = make_params(n_sc=1, gamma=0.2)
+    choice = reselect(agent, params, np.random.default_rng(5), history, own_id=0)
     assert choice == (201, 0)
 
 
 def test_reselect_uniform_over_candidates():
-    agent = make_agent(slot=0, w=4, period=50)
-    grid = ResourceGrid(2, 10**6)
+    agent = make_agent(slot=0, w=4)
+    params = make_params(n_sc=2)
     rng = np.random.default_rng(12)
     counts = {}
     trials = 100_000
     for _ in range(trials):
-        prb = reselect(agent, grid, rng)
+        prb = reselect(agent, params, rng, own_id=0)
         counts[prb] = counts.get(prb, 0) + 1
     assert len(counts) == 10
     expect = trials / 10
     sigma = np.sqrt(trials * 0.1 * 0.9)
     for count in counts.values():
         assert abs(count - expect) < 3 * sigma
-
-
-def test_reselect_rejects_degenerate_grid():
-    agent = make_agent()
-    grid = ResourceGrid(1, 10)
-    grid.subchannels = 0
-    with pytest.raises(ModelDomainError):
-        reselect(agent, grid, rng=0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +158,28 @@ def test_reselect_rejects_degenerate_grid():
 def test_step_transmission_schedule():
     # rc=3, T=10, w=0: three transmissions T apart, then a one-slot shift
     params = make_params(rri=0.01, n_sc=1, w=0, rc=(3, 3))
-    agent = make_agent(slot=5, rc=3, period=10, w=0)
-    grid = ResourceGrid(1, 10**6)
+    agent = make_agent(slot=5, rc=3, w=0)
     rng = np.random.default_rng(0)
     slots = []
     for _ in range(7):
         slot = agent.current_prb[0]
         slots.append(slot)
-        step([agent], slot, grid, params, rng)
+        step([agent], slot, params, rng)
     assert slots == [5, 15, 25, 26, 36, 46, 47]
 
 
 def test_step_keep_probability_one_never_reselects():
-    # the shared-pool cap is 0.8, but a lone agent may be pinned at P=1
-    params = make_params(rc=(1, 1))
-    agents = [make_agent(slot=3, sc=1, rc=1, period=50, w=4, keep=1.0)]
-    grid = ResourceGrid(2, 10**9)
+    # SpsParams caps P at 0.8 for the shared pool; step reads only these
+    # fields, so a stand-in pins a lone agent at P=1
+    params = SimpleNamespace(slots_per_rri=50, num_subchannels=2,
+                             rc_range=(1, 1), keep_probability=1.0,
+                             candidate_fraction=0.2)
+    agents = [make_agent(slot=3, sc=1, rc=1, w=4)]
     rng = np.random.default_rng(7)
     events = []
     for _ in range(200):
         slot = agents[0].current_prb[0]
-        events.extend(step(agents, slot, grid, params, rng))
+        events.extend(step(agents, slot, params, rng))
     assert all(ev.expired for ev in events)        # rc=1 expires every time
     assert not any(ev.reselected for ev in events)
     assert {(ev.slot % 50, ev.subchannel) for ev in events} == {(3, 1)}
@@ -178,7 +188,7 @@ def test_step_keep_probability_one_never_reselects():
 def test_step_keep_probability_zero_always_reselects():
     params = make_params(rc=(1, 2), keep=0.0)
     cfg = SimConfig(sps=params, num_vehicles=1, windows=(4,))
-    events = simulate(cfg, 3_000, rng=8)
+    events = replay(cfg, 3_000, seed=8)
     expiries = [ev for ev in events if ev.expired]
     assert expiries and all(ev.reselected for ev in expiries)
 
@@ -187,7 +197,7 @@ def test_step_keep_probability_fraction():
     # every transmission expires (rc=1); reselection should happen 20% of the time
     params = make_params(rri=0.001, n_sc=1, w=0, rc=(1, 1), keep=0.8)
     cfg = SimConfig(sps=params, num_vehicles=1, windows=(0,))
-    events = simulate(cfg, 100_000, rng=9)
+    events = replay(cfg, 100_000, seed=9)
     expiries = sum(ev.expired for ev in events)
     reselections = sum(ev.reselected for ev in events)
     assert expiries > 90_000
@@ -198,14 +208,13 @@ def test_step_keep_probability_fraction():
 
 def test_rc_strictly_decreases_and_redraws_uniformly():
     params = make_params(rc=(2, 5))
-    agent = make_agent(rc=4, period=50, w=4)
-    grid = ResourceGrid(2, 10**9)
+    agent = make_agent(rc=4, w=4)
     rng = np.random.default_rng(21)
     redraws = []
     previous = agent.rc
     for _ in range(20_000):
         slot = agent.current_prb[0]
-        event = step([agent], slot, grid, params, rng)[0]
+        event = step([agent], slot, params, rng)[0]  # blind: counters only
         if event.expired:
             assert previous == 1  # counted all the way down
             redraws.append(agent.rc)
@@ -226,13 +235,13 @@ def test_rc_strictly_decreases_and_redraws_uniformly():
 
 def test_simulate_deterministic_per_seed():
     cfg = SimConfig(sps=make_params(), num_vehicles=3, windows=(2, 4, 6))
-    assert simulate(cfg, 5_000, rng=13) == simulate(cfg, 5_000, rng=13)
-    assert simulate(cfg, 5_000, rng=13) != simulate(cfg, 5_000, rng=14)
+    assert replay(cfg, 5_000, seed=13) == replay(cfg, 5_000, seed=13)
+    assert replay(cfg, 5_000, seed=13) != replay(cfg, 5_000, seed=14)
 
 
 def test_simulate_conservation():
     cfg = SimConfig(sps=make_params(), num_vehicles=4, windows=(4, 4, 4, 4))
-    events = simulate(cfg, 5_000, rng=3)
+    events = replay(cfg, 5_000, seed=3)
     seen = set()
     for ev in events:
         key = (ev.slot, ev.vehicle_id)
@@ -248,7 +257,7 @@ def test_simulate_conservation():
 
 def test_success_implies_no_collision():
     cfg = SimConfig(sps=make_params(rri=0.02), num_vehicles=3, windows=(4, 4, 4))
-    events = simulate(cfg, 20_000, rng=5)
+    events = replay(cfg, 20_000, seed=5)
     by_slot = {}
     for ev in events:
         by_slot.setdefault(ev.slot, []).append(ev)
@@ -258,9 +267,53 @@ def test_success_implies_no_collision():
             assert not group[0].collided
 
 
+@pytest.mark.parametrize("period", [10, 20, 50])
+def test_phase_hits_match_slot_count(period):
+    # the blind pair score counts window slots on the neighbour's phase in
+    # closed form; compare with walking the slots, for triggers on both
+    # sides of a period boundary
+    triggers = [0, 1, period - 2, period - 1, period, period + 1,
+                3 * period - 1, 3 * period, 7 * period + period // 2]
+    for trigger in triggers:
+        for window in range(16):
+            for phase in range(period):
+                walked = sum(1 for s in range(trigger + 1, trigger + 2 + window)
+                             if s % period == phase)
+                assert _phase_hits(trigger, window, phase, period) == walked
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
+
+
+def test_estimates_are_pinned():
+    # every field, exactly as an earlier simulator produced it: blind
+    # selection with mixed windows, and sensing where six vehicles share five
+    # candidate PRBs so the candidate floor re-admits exclusions
+    blind = SimConfig(sps=make_params(rc=(2, 5)), num_vehicles=3, windows=(2, 4, 6))
+    aware = SimConfig(sps=make_params(rri=0.02, n_sc=1, w=4, rc=(2, 5)),
+                      num_vehicles=6, sensing=True)
+    assert estimate_collision_prob(blind, 3000, rng_seed=31, episodes=30) == \
+        CollisionEstimate(
+            collided_fraction=0.018693353474320242, collided_se=0.0013160033452042515,
+            reselection_collision=0.009906349206349207,
+            reselection_se=0.00041395206364207586, num_transmissions=10592,
+            num_reselections=3000, cluster_se=0.0008484291723757125)
+    assert estimate_prr(blind, 3000, rng_seed=32, episodes=30) == PrrEstimate(
+        value=0.9429944407801752, std_error=0.0022505781042316533,
+        num_transmissions=10613, num_reselections=3000,
+        cluster_se=0.004624709868351863)
+    assert estimate_collision_prob(aware, 3000, rng_seed=31, episodes=30) == \
+        CollisionEstimate(
+            collided_fraction=0.2680218332392245, collided_se=0.004296840615610047,
+            reselection_collision=0.031389536821059646,
+            reselection_se=0.0014234723374373839, num_transmissions=10626,
+            num_reselections=3001, cluster_se=0.0010605462363634062)
+    assert estimate_prr(aware, 3000, rng_seed=32, episodes=30) == PrrEstimate(
+        value=0.7291839557399723, std_error=0.004267180061083595,
+        num_transmissions=10845, num_reselections=3004,
+        cluster_se=0.011524431109573447)
 
 
 def test_estimate_single_vehicle():

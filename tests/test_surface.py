@@ -24,7 +24,6 @@ EXEMPT = {
     "channel.correlation": "fading kernel; J0 of the Doppler lag, kept beside bessel_j0",
     "channel.doppler_shift": "fading kernel; feeds correlation for a speed and carrier",
     "channel.ar1_step": "fading kernel; the acceptance suite checks its stationary power",
-    "sps_sim.simulate": "episode driver the simulator tests replay slot by slot",
 }
 
 
