@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--events", type=int, default=100_000,
                         help="reselection events per case")
     oracle.add_argument("--episodes", type=int, default=2000,
-                        help="independent episodes per case")
+                        help="independent episodes per case; at most one "
+                             "per event, so runs min(episodes, events)")
     return parser
 
 

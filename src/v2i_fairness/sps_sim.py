@@ -11,8 +11,12 @@ reselection counter, window); the numerology, counter range and keep
 probability are read from the shared :class:`SpsParams`.  With
 ``SimConfig.sensing`` the episode also keeps a sensing history, a dict from
 ``(slot, subchannel)`` to the ids of the vehicles heard there, pruned to the
-sensing window; reselection excludes the reservations it announces.  Blind
-selection keeps no history at all: its pick is uniform over the window.
+sensing window; reselection excludes the reservations it announces, and
+such an episode steps slot by slot through :func:`step`.  Blind selection
+keeps no history at all: its pick is uniform over the window, and nothing
+random happens between two counter expiries, so a blind episode jumps from
+one expiry slot to the next with exactly the draws :func:`step` would make
+and counts its transmissions from each vehicle's periodic runs.
 
 Collision probability is reported under two readings because the
 closed-form model is ambiguous about which event it counts:
@@ -124,11 +128,12 @@ def reselect(
 
     Candidates are every PRB in the ``window + 1`` slots after the trigger
     (the agent's current transmission slot), slot by slot and subchannel by
-    subchannel.  Without ``history`` (blind selection) the pick is uniform
-    over all of them.  Otherwise each transmission in ``history`` that some
-    vehicle other than ``own_id`` made announces a standing reservation
-    repeating every ``params.slots_per_rri`` slots; candidates matching one
-    are excluded.  If that leaves fewer than
+    subchannel.  Without ``history`` (blind selection, or sensing before
+    anything was heard) the pick is uniform over all of them, computed from
+    the draw without listing them.  Otherwise each transmission in
+    ``history`` that some vehicle other than ``own_id`` made announces a
+    standing reservation repeating every ``params.slots_per_rri`` slots;
+    candidates matching one are excluded.  If that leaves fewer than
     ``ceil(params.candidate_fraction * |candidates|)``, the exclusions
     observed least recently are re-admitted until the floor is met.  Either
     way the pick is one ``rng.integers`` draw over what remains.
@@ -136,33 +141,40 @@ def reselect(
     if agent.window < 0:
         raise ValueError(f"selection window must be >= 0, got {agent.window}")
     trigger = agent.current_prb[0]
+    n_sc = params.num_subchannels
+    if not history:
+        return _uniform_pick(trigger, agent.window, n_sc, rng)
     period = params.slots_per_rri
     slots = range(trigger + 1, trigger + 2 + agent.window)
-    candidates = [(s, c) for s in slots for c in range(params.num_subchannels)]
-    available = candidates
-    if history:
-        # Most recent observation per announced reservation (slot phase, subchannel).
-        last_seen: dict[tuple[int, int], int] = {}
-        for (obs_slot, obs_sc), vehicles in history.items():
-            if vehicles <= {own_id}:
-                continue
-            key = (obs_slot % period, obs_sc)
-            last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
+    candidates = [(s, c) for s in slots for c in range(n_sc)]
+    # Most recent observation per announced reservation (slot phase, subchannel).
+    last_seen: dict[tuple[int, int], int] = {}
+    for (obs_slot, obs_sc), vehicles in history.items():
+        if vehicles <= {own_id}:
+            continue
+        key = (obs_slot % period, obs_sc)
+        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
 
-        available = [prb for prb in candidates
-                     if (prb[0] % period, prb[1]) not in last_seen]
-        floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
-        if len(available) < floor:
-            admitted = set(available)
-            for key in sorted(last_seen, key=lambda key: (last_seen[key], key)):
-                if len(admitted) >= floor:
-                    break
-                admitted.update(
-                    prb for prb in candidates if (prb[0] % period, prb[1]) == key
-                )
-            available = sorted(admitted)
+    available = [prb for prb in candidates
+                 if (prb[0] % period, prb[1]) not in last_seen]
+    floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
+    if len(available) < floor:
+        admitted = set(available)
+        for key in sorted(last_seen, key=lambda key: (last_seen[key], key)):
+            if len(admitted) >= floor:
+                break
+            admitted.update(
+                prb for prb in candidates if (prb[0] % period, prb[1]) == key
+            )
+        available = sorted(admitted)
 
     return available[int(rng.integers(0, len(available)))]
+
+
+def _uniform_pick(trigger: int, window: int, n_sc: int, rng) -> tuple[int, int]:
+    """Candidate ``k`` of the window, slot by slot then subchannel, for one draw ``k``."""
+    k = int(rng.integers(0, (window + 1) * n_sc))
+    return trigger + 1 + k // n_sc, k % n_sc
 
 
 def step(
@@ -289,23 +301,43 @@ class _Tally:
     episode_pair_rates: list[float] = field(default_factory=list)
     episode_delivery_rates: list[float] = field(default_factory=list)
 
+    def add_episode(self, transmissions: int, collided: int, delivered: int,
+                    reselections: int, pair_trials: int, pair_weight: float,
+                    pair_sq: float) -> None:
+        self.transmissions += transmissions
+        self.collided += collided
+        self.delivered += delivered
+        self.reselections += reselections
+        self.pair_trials += pair_trials
+        self.pair_weight += pair_weight
+        self.pair_sq += pair_sq
+        if pair_trials:
+            self.episode_pair_rates.append(pair_weight / pair_trials)
+        if transmissions:
+            self.episode_delivery_rates.append(delivered / transmissions)
+
 
 def _phase_hits(trigger: int, window: int, phase: int, period: int) -> int:
     """Slots in ``trigger + 1 .. trigger + 1 + window`` equal to ``phase`` mod ``period``."""
     return (trigger + 1 + window - phase) // period - (trigger - phase) // period
 
 
+def _max_slots(params: SpsParams, target_reselections: int) -> int:
+    # guard: an episode whose reselections never come stops after this many slots
+    return max(10_000, 20 * (target_reselections + 1) * params.rc_range[1]
+               * params.slots_per_rri)
+
+
 def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally) -> None:
+    """One sensing episode, stepped slot by slot through :func:`step`."""
     params = config.sps
     period = params.slots_per_rri
-    n_sc = params.num_subchannels
     agents = _init_agents(config, rng)
-    history: History | None = {} if config.sensing else None
+    history: History = {}
     retention = _sensing_slots(params)
     last_prune = 0
 
-    rc_hi = params.rc_range[1]
-    max_slots = max(10_000, 20 * (target_reselections + 1) * rc_hi * period)
+    max_slots = _max_slots(params, target_reselections)
     start = min(agent.current_prb[0] for agent in agents)
 
     transmissions = collided = delivered = 0
@@ -315,8 +347,8 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
     while reselections < target_reselections:
         slot = min(agent.current_prb[0] for agent in agents)
         if slot - start > max_slots:
-            break  # guard: stop an episode whose reselections never come
-        if history is not None and slot - last_prune >= retention:
+            break
+        if slot - last_prune >= retention:
             for key in [key for key in history if key[0] < slot - retention]:
                 del history[key]
             last_prune = slot
@@ -336,33 +368,127 @@ def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally
                 for ev in events:
                     before[ev.vehicle_id] = (slot % period, ev.subchannel)
             new_slot, new_sc = agents[event.vehicle_id].current_prb
-            window = agents[event.vehicle_id].window
             for vid, (phase_j, sc_j) in enumerate(before):
                 if vid == event.vehicle_id:
                     continue
-                if history is not None:
-                    # exclusions skew the pick; score the realised choice
-                    hit = float(new_slot % period == phase_j and new_sc == sc_j)
-                else:
-                    # pick is uniform over the window: score its hit
-                    # probability against the neighbour's reservation
-                    hit = (_phase_hits(slot, window, phase_j, period)
-                           / ((window + 1) * n_sc))
+                # exclusions skew the pick; score the realised choice
+                hit = float(new_slot % period == phase_j and new_sc == sc_j)
                 pair_trials += 1
                 pair_weight += hit
                 pair_sq += hit * hit
 
-    tally.transmissions += transmissions
-    tally.collided += collided
-    tally.delivered += delivered
-    tally.reselections += reselections
-    tally.pair_trials += pair_trials
-    tally.pair_weight += pair_weight
-    tally.pair_sq += pair_sq
-    if pair_trials:
-        tally.episode_pair_rates.append(pair_weight / pair_trials)
-    if transmissions:
-        tally.episode_delivery_rates.append(delivered / transmissions)
+    tally.add_episode(transmissions, collided, delivered, reselections,
+                      pair_trials, pair_weight, pair_sq)
+
+
+def _run_blind_episode(config: SimConfig, rng, target_reselections: int,
+                       tally: _Tally) -> None:
+    """One sensing-off episode, advanced from one counter expiry to the next.
+
+    Between its expiries an agent repeats its PRB every period and draws
+    nothing, so only expiry slots are visited: in slot order, then vehicle
+    order, each expiry makes :func:`step`'s draws (keep, counter, and on
+    reselection the blind pick of :func:`reselect`).  The episode ends after
+    the slot in which the reselections reach the target, or at the
+    ``_max_slots`` guard; its transmissions are then counted from each
+    agent's periodic runs, cut at that final slot.
+    """
+    params = config.sps
+    period = params.slots_per_rri
+    n_sc = params.num_subchannels
+    keep_probability = params.keep_probability
+    rc_lo, rc_hi = params.rc_range
+    agents = _init_agents(config, rng)
+    start = min(agent.current_prb[0] for agent in agents)
+    limit = start + _max_slots(params, target_reselections)
+
+    # each agent's current run: first slot, subchannel and expiry slot
+    first = [agent.current_prb[0] for agent in agents]
+    subchannel = [agent.current_prb[1] for agent in agents]
+    expiry = [agent.current_prb[0] + (agent.rc - 1) * period for agent in agents]
+    windows = [agent.window for agent in agents]
+    runs: list[tuple[int, int, int]] = []  # finished runs: (first, last, subchannel)
+
+    reselections = 0
+    pair_trials = 0
+    pair_weight = pair_sq = 0.0
+    while True:
+        slot = min(expiry)
+        if slot > limit:
+            end = limit  # every occupied slot up to the guard was played
+            break
+        before = None  # (phase, subchannel) of every reservation before the slot
+        for vid, due in enumerate(expiry):
+            if due != slot:
+                continue
+            keep = rng.random() < keep_probability
+            rc = int(rng.integers(rc_lo, rc_hi + 1))
+            if keep:
+                expiry[vid] = slot + rc * period
+                continue
+            if before is None:
+                before = [(s % period, sc) for s, sc in zip(first, subchannel)]
+            window = windows[vid]
+            runs.append((first[vid], slot, subchannel[vid]))
+            first[vid], subchannel[vid] = _uniform_pick(slot, window, n_sc, rng)
+            expiry[vid] = first[vid] + (rc - 1) * period
+            reselections += 1
+            # the pick is uniform over the window: score its hit probability
+            # against each neighbour's reservation
+            pool = (window + 1) * n_sc
+            for other, (phase_j, sc_j) in enumerate(before):
+                if other == vid:
+                    continue
+                hit = _phase_hits(slot, window, phase_j, period) / pool
+                pair_trials += 1
+                pair_weight += hit
+                pair_sq += hit * hit
+        if reselections >= target_reselections:
+            end = slot
+            break
+
+    for s, sc in zip(first, subchannel):
+        if s <= end:
+            runs.append((s, s + (end - s) // period * period, sc))
+    tally.add_episode(*_count_runs(runs, period), reselections,
+                      pair_trials, pair_weight, pair_sq)
+
+
+def _count_runs(runs: list[tuple[int, int, int]], period: int) -> tuple[int, int, int]:
+    """Transmissions, collided and delivered ones over periodic runs.
+
+    A run ``(first, last, subchannel)`` transmits on ``first``, ``first +
+    period``, ..., ``last``; one agent's runs never overlap.  Runs on
+    different phases never meet, so each phase is swept on its own over the
+    edges where runs start and stop.
+    """
+    by_phase: dict[int, list[tuple[int, int, int]]] = {}
+    for run in runs:
+        by_phase.setdefault(run[0] % period, []).append(run)
+    transmissions = collided = delivered = 0
+    for group in by_phase.values():
+        if len(group) == 1:
+            first, last, _ = group[0]
+            count = (last - first) // period + 1
+            transmissions += count
+            delivered += count
+            continue
+        edges = sorted([(first, 1, sc) for first, _, sc in group]
+                       + [(last + period, -1, sc) for _, last, sc in group])
+        active: dict[int, int] = {}  # subchannel -> runs on it
+        total = 0
+        previous = edges[0][0]
+        for slot, delta, sc in edges:
+            if total and slot != previous:
+                count = (slot - previous) // period
+                transmissions += count * total
+                if total == 1:
+                    delivered += count
+                collided += count * sum(n for n in active.values() if n > 1)
+            previous = slot
+            total += delta
+            active[sc] = active.get(sc, 0) + delta
+    return transmissions, collided, delivered
 
 
 def _binomial_se(successes: int, trials: int) -> float:
@@ -393,8 +519,9 @@ def _collect(config: SimConfig, num_events: int, rng_seed, episodes: int) -> _Ta
     episodes = min(episodes, num_events)
     per_episode = math.ceil(num_events / episodes)
     tally = _Tally()
+    run_episode = _run_episode if config.sensing else _run_blind_episode
     for _ in range(episodes):
-        _run_episode(config, rng, per_episode, tally)
+        run_episode(config, rng, per_episode, tally)
     return tally
 
 
@@ -403,8 +530,11 @@ def estimate_collision_prob(
 ) -> CollisionEstimate:
     """Measure PRB collisions over ``num_events`` reselection events.
 
-    A lone vehicle cannot collide, so ``num_vehicles == 1`` short-circuits
-    to zero under both readings.
+    The events are split over ``E = min(episodes, num_events)`` episodes
+    of ``ceil(num_events / E)`` reselections each: asking for more episodes
+    than events silently runs one episode per event.  A lone vehicle cannot
+    collide, so ``num_vehicles == 1`` short-circuits to zero under both
+    readings.
     """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
@@ -431,7 +561,8 @@ def estimate_prr(
 
     A transmission fails when another vehicle occupies the same PRB
     (collision) or transmits anywhere in the same slot (half-duplex: a
-    transmitting radio cannot receive).
+    transmitting radio cannot receive).  Episodes are split as in
+    :func:`estimate_collision_prob`: ``min(episodes, num_events)`` of them.
     """
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")

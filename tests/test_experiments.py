@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -214,3 +215,13 @@ def test_oracle_report_deterministic(tmp_path):
     second, _ = run_oracle_validation(tiny_config(), tmp_path / "b",
                                       num_events=1500, episodes=30)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_oracle_report_bytes_are_pinned(tmp_path):
+    # recorded from the per-slot simulator: any change to the simulator's
+    # RNG stream or to the report's formatting moves this digest
+    path, ok = run_oracle_validation(tiny_config(), tmp_path,
+                                     num_events=2000, episodes=200)
+    assert ok
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "126768699f84aa103d9f6e0e501368368f431854e9e289c9e318b4100625b146"

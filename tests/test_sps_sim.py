@@ -1,8 +1,10 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from v2i_fairness import sps_sim
 from v2i_fairness.errors import ConfigError
 from v2i_fairness.sps_analytics import (
     SpsParams,
@@ -14,6 +16,7 @@ from v2i_fairness.sps_sim import (
     PrrEstimate,
     SimConfig,
     SpsAgentState,
+    _init_agents,
     _phase_hits,
     estimate_collision_prob,
     estimate_prr,
@@ -60,6 +63,78 @@ def replay(cfg, num_slots, seed):
     while (slot := min(agent.current_prb[0] for agent in agents)) < num_slots:
         events.extend(step(agents, slot, params, rng))
     return events
+
+
+def reference_blind_episode(config, rng, target_reselections, tally):
+    """The per-slot sensing-off episode the expiry-to-expiry loop replaced.
+
+    ``step`` runs on every occupied slot; each reselection's pick is scored
+    against the reservations every vehicle held before the slot.
+    """
+    params = config.sps
+    period = params.slots_per_rri
+    n_sc = params.num_subchannels
+    agents = _init_agents(config, rng)
+
+    rc_hi = params.rc_range[1]
+    max_slots = max(10_000, 20 * (target_reselections + 1) * rc_hi * period)
+    start = min(agent.current_prb[0] for agent in agents)
+
+    transmissions = collided = delivered = 0
+    reselections = 0
+    pair_trials = 0
+    pair_weight = pair_sq = 0.0
+    while reselections < target_reselections:
+        slot = min(agent.current_prb[0] for agent in agents)
+        if slot - start > max_slots:
+            break
+        events = step(agents, slot, params, rng)
+        in_slot = len(events)
+        before = None
+        for event in events:
+            transmissions += 1
+            collided += int(event.collided)
+            delivered += int(in_slot == 1)
+            if not event.reselected:
+                continue
+            reselections += 1
+            if before is None:
+                before = [(a.current_prb[0] % period, a.current_prb[1]) for a in agents]
+                for ev in events:
+                    before[ev.vehicle_id] = (slot % period, ev.subchannel)
+            window = agents[event.vehicle_id].window
+            for vid, (phase_j, sc_j) in enumerate(before):
+                if vid == event.vehicle_id:
+                    continue
+                hit = (_phase_hits(slot, window, phase_j, period)
+                       / ((window + 1) * n_sc))
+                pair_trials += 1
+                pair_weight += hit
+                pair_sq += hit * hit
+
+    tally.transmissions += transmissions
+    tally.collided += collided
+    tally.delivered += delivered
+    tally.reselections += reselections
+    tally.pair_trials += pair_trials
+    tally.pair_weight += pair_weight
+    tally.pair_sq += pair_sq
+    if pair_trials:
+        tally.episode_pair_rates.append(pair_weight / pair_trials)
+    if transmissions:
+        tally.episode_delivery_rates.append(delivered / transmissions)
+
+
+def assert_matches_reference(monkeypatch, estimator, cfg, num_events, seed, episodes):
+    """Same estimate and the same RNG state afterwards on both blind loops."""
+    rng = np.random.default_rng(seed)
+    fast = estimator(cfg, num_events, rng, episodes=episodes)
+    with monkeypatch.context() as patch:
+        patch.setattr(sps_sim, "_run_blind_episode", reference_blind_episode)
+        ref_rng = np.random.default_rng(seed)
+        ref = estimator(cfg, num_events, ref_rng, episodes=episodes)
+    assert fast == ref, (cfg, seed)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, (cfg, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +223,24 @@ def test_reselect_uniform_over_candidates():
     sigma = np.sqrt(trials * 0.1 * 0.9)
     for count in counts.values():
         assert abs(count - expect) < 3 * sigma
+
+
+@pytest.mark.parametrize("n_sc", [1, 2, 4])
+def test_blind_pick_matches_candidate_list(n_sc):
+    # with no history (blind, or sensing before anything was heard) the pick
+    # is computed from the draw; the same draw indexes the same candidate
+    params = make_params(n_sc=n_sc, w=15)
+    for trigger in (0, 7, 49, 50, 123):
+        for window in (0, 1, 4, 15, 60):
+            candidates = [(s, c) for s in range(trigger + 1, trigger + 2 + window)
+                          for c in range(n_sc)]
+            agent = make_agent(slot=trigger, w=window)
+            for seed in range(5):
+                k = int(np.random.default_rng(seed).integers(0, len(candidates)))
+                for history in (None, {}):
+                    pick = reselect(agent, params, np.random.default_rng(seed),
+                                    history, own_id=0)
+                    assert pick == candidates[k]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +407,51 @@ def test_estimates_are_pinned():
         value=0.7291839557399723, std_error=0.004267180061083595,
         num_transmissions=10845, num_reselections=3004,
         cluster_se=0.011524431109573447)
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.5, 0.8])
+@pytest.mark.parametrize("rc", [(1, 1), (2, 3), (5, 15)])
+def test_blind_episodes_match_per_slot_reference(monkeypatch, keep, rc):
+    # periods from 1 to 100 slots, windows narrower and wider than the
+    # period, one to five vehicles; several episodes per call, so the RNG
+    # stream carries from one episode into the next
+    for period in (1, 2, 7, 20, 100):
+        params = make_params(rri=period / 1000, n_sc=1, w=0, rc=rc, keep=keep)
+        for n_sc in (1, 2, 4):
+            params = replace(params, num_subchannels=n_sc)
+            for num_vehicles in range(1, 6):
+                pattern = (0, period + 3, 4, 2 * period + 1, period - 1)
+                cfg = SimConfig(sps=params, num_vehicles=num_vehicles,
+                                windows=pattern[:num_vehicles])
+                seed = period * 100 + n_sc * 10 + num_vehicles
+                for estimator in (estimate_collision_prob, estimate_prr):
+                    assert_matches_reference(monkeypatch, estimator, cfg, 24,
+                                             seed, episodes=3)
+
+
+def test_blind_episode_guard_matches_per_slot_reference(monkeypatch):
+    # with P = 1 no counter expiry ever reselects, so every episode runs to
+    # the slot guard and is cut there; SpsParams caps P at 0.8, so a
+    # stand-in carries the fields the simulator reads
+    for period, num_vehicles, rc in [(1, 2, (1, 3)), (3, 3, (2, 2)), (50, 1, (5, 15))]:
+        params = SimpleNamespace(slots_per_rri=period, num_subchannels=2,
+                                 rc_range=rc, keep_probability=1.0,
+                                 candidate_fraction=0.2, selection_window=1)
+        cfg = SimConfig(sps=params, num_vehicles=num_vehicles)
+        assert_matches_reference(monkeypatch, estimate_prr, cfg, 4, 5, episodes=2)
+
+
+def test_step_runs_only_with_sensing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("step called")
+
+    monkeypatch.setattr(sps_sim, "step", refuse)
+    params = make_params(rc=(2, 5))
+    blind = SimConfig(sps=params, num_vehicles=3, windows=(2, 4, 6))
+    assert estimate_prr(blind, 200, rng_seed=1, episodes=10).num_reselections >= 200
+    aware = SimConfig(sps=params, num_vehicles=3, sensing=True)
+    with pytest.raises(RuntimeError, match="step called"):
+        estimate_prr(aware, 200, rng_seed=1, episodes=10)
 
 
 def test_estimate_single_vehicle():
