@@ -6,17 +6,17 @@ simulator serves as an independent oracle for the closed-form collision
 and reception models in :mod:`v2i_fairness.sps_analytics`: it never calls
 into that module and shares no derivation with it.
 
-An episode's state is its list of :class:`SpsAgentState` (next PRB,
-reselection counter, window); the numerology, counter range and keep
-probability are read from the shared :class:`SpsParams`.  With
-``SimConfig.sensing`` the episode also keeps a sensing history, a dict from
-``(slot, subchannel)`` to the ids of the vehicles heard there, pruned to the
-sensing window; reselection excludes the reservations it announces, and
-such an episode steps slot by slot through :func:`step`.  Blind selection
-keeps no history at all: its pick is uniform over the window, and nothing
-random happens between two counter expiries, so a blind episode jumps from
-one expiry slot to the next with exactly the draws :func:`step` would make
-and counts its transmissions from each vehicle's periodic runs.
+Nothing random happens between two reselection-counter expiries, so an
+episode jumps from one expiry slot to the next: per vehicle it holds the
+first slot and subchannel of its current periodic run and the slot its
+counter next expires, and it counts its transmissions from those runs.  The
+numerology, counter range and keep probability are read from the shared
+:class:`SpsParams`.  Both kinds of episode run the one loop and differ only
+in the pick.  Blind selection is uniform over the window.  With
+``SimConfig.sensing`` the pick drops what the sensing window announced: per
+(slot phase, subchannel), the last slot in which another vehicle was heard
+there, read from the periodic runs that the stepwise-pruned sensing window
+still covers.
 
 Collision probability is reported under two readings because the
 closed-form model is ambiguous about which event it counts:
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -51,25 +50,20 @@ from .util import as_rng
 
 __all__ = [
     "SimConfig",
-    "SpsAgentState",
-    "TransmissionEvent",
     "CollisionEstimate",
     "PrrEstimate",
-    "reselect",
-    "step",
     "estimate_collision_prob",
     "estimate_prr",
 ]
-
-# Sensing history: (slot, subchannel) -> ids of the vehicles heard there.
-History = dict[tuple[int, int], set[int]]
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One simulated cell: shared SPS numerology plus per-vehicle windows.
 
-    ``sensing`` gates the exclusion step during reselection.  The analytic
+    ``sensing`` switches the pick from uniform over the window to the
+    sensing-based one, which excludes the reservations heard in the sensing
+    window; both run the same expiry-to-expiry episode.  The analytic
     collision model assumes blind random selection, so oracle comparisons
     run with sensing disabled; sensing on exercises the exclusion and
     candidate-floor logic.
@@ -100,61 +94,32 @@ class SimConfig:
         return (self.sps.selection_window,) * self.num_vehicles
 
 
-@dataclass
-class SpsAgentState:
-    current_prb: tuple[int, int]  # (absolute slot of next transmission, subchannel)
-    rc: int
-    window: int
+def _uniform_pick(trigger: int, window: int, n_sc: int, rng) -> tuple[int, int]:
+    """Candidate ``k`` of the window, slot by slot then subchannel, for one draw ``k``."""
+    k = int(rng.integers(0, (window + 1) * n_sc))
+    return trigger + 1 + k // n_sc, k % n_sc
 
 
-class TransmissionEvent(NamedTuple):
-    slot: int
-    vehicle_id: int
-    subchannel: int
-    collided: bool
-    expired: bool      # reselection counter reached zero on this transmission
-    reselected: bool   # ... and the keep-probability draw chose a fresh PRB
+def _sensed_pick(trigger: int, window: int, params: SpsParams, rng,
+                 last_seen: dict[tuple[int, int], int]) -> tuple[int, int]:
+    """Draw a PRB from the window, avoiding the reservations others announced.
 
-
-def reselect(
-    agent: SpsAgentState,
-    params: SpsParams,
-    rng,
-    history: History | None = None,
-    *,
-    own_id: int,
-) -> tuple[int, int]:
-    """Draw the agent's next PRB from its selection window.
-
-    Candidates are every PRB in the ``window + 1`` slots after the trigger
-    (the agent's current transmission slot), slot by slot and subchannel by
-    subchannel.  Without ``history`` (blind selection, or sensing before
-    anything was heard) the pick is uniform over all of them, computed from
-    the draw without listing them.  Otherwise each transmission in
-    ``history`` that some vehicle other than ``own_id`` made announces a
-    standing reservation repeating every ``params.slots_per_rri`` slots;
-    candidates matching one are excluded.  If that leaves fewer than
-    ``ceil(params.candidate_fraction * |candidates|)``, the exclusions
-    observed least recently are re-admitted until the floor is met.  Either
-    way the pick is one ``rng.integers`` draw over what remains.
+    Candidates are every PRB in the ``window + 1`` slots after the trigger,
+    slot by slot and subchannel by subchannel.  ``last_seen`` maps each
+    announced reservation, (slot phase modulo ``params.slots_per_rri``,
+    subchannel), to the last slot another vehicle was heard on it; candidates
+    matching one are excluded.  If that leaves fewer than
+    ``ceil(params.candidate_fraction * |candidates|)``, the exclusions heard
+    least recently are re-admitted, in ``(last_seen, key)`` order, until the
+    floor is met.  Either way the pick is one ``rng.integers`` draw over what
+    remains; with nothing announced it is :func:`_uniform_pick`'s.
     """
-    if agent.window < 0:
-        raise ValueError(f"selection window must be >= 0, got {agent.window}")
-    trigger = agent.current_prb[0]
     n_sc = params.num_subchannels
-    if not history:
-        return _uniform_pick(trigger, agent.window, n_sc, rng)
+    if not last_seen:
+        return _uniform_pick(trigger, window, n_sc, rng)
     period = params.slots_per_rri
-    slots = range(trigger + 1, trigger + 2 + agent.window)
+    slots = range(trigger + 1, trigger + 2 + window)
     candidates = [(s, c) for s in slots for c in range(n_sc)]
-    # Most recent observation per announced reservation (slot phase, subchannel).
-    last_seen: dict[tuple[int, int], int] = {}
-    for (obs_slot, obs_sc), vehicles in history.items():
-        if vehicles <= {own_id}:
-            continue
-        key = (obs_slot % period, obs_sc)
-        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
-
     available = [prb for prb in candidates
                  if (prb[0] % period, prb[1]) not in last_seen]
     floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
@@ -171,94 +136,28 @@ def reselect(
     return available[int(rng.integers(0, len(available)))]
 
 
-def _uniform_pick(trigger: int, window: int, n_sc: int, rng) -> tuple[int, int]:
-    """Candidate ``k`` of the window, slot by slot then subchannel, for one draw ``k``."""
-    k = int(rng.integers(0, (window + 1) * n_sc))
-    return trigger + 1 + k // n_sc, k % n_sc
-
-
-def step(
-    agents: list[SpsAgentState],
-    slot_index: int,
-    params: SpsParams,
-    rng,
-    history: History | None = None,
-) -> list[TransmissionEvent]:
-    """Advance every agent reserved on this slot; return its transmissions.
-
-    With sensing, every transmission is recorded into ``history`` before
-    any agent advances, so reselections within the slot see a consistent
-    picture.  Each transmitter, in vehicle order, counts its reselection
-    counter down; on expiry it draws ``rng.random()`` against
-    ``params.keep_probability`` and a fresh counter, then either keeps its
-    PRB for the next period or calls :func:`reselect` with ``history``
-    (``None`` for blind selection).
-    """
-    transmitters = [
-        (vid, agent)
-        for vid, agent in enumerate(agents)
-        if agent.current_prb[0] == slot_index
-    ]
-    per_subchannel: dict[int, int] = {}
-    for vid, agent in transmitters:
-        sc = agent.current_prb[1]
-        per_subchannel[sc] = per_subchannel.get(sc, 0) + 1
-        if history is not None:
-            history.setdefault((slot_index, sc), set()).add(vid)
-
-    period = params.slots_per_rri
-    rc_lo, rc_hi = params.rc_range
-    events = []
-    for vid, agent in transmitters:
-        subchannel = agent.current_prb[1]
-        agent.rc -= 1
-        expired = agent.rc <= 0
-        reselected = False
-        if expired:
-            keep = rng.random() < params.keep_probability
-            agent.rc = int(rng.integers(rc_lo, rc_hi + 1))
-            if keep:
-                agent.current_prb = (slot_index + period, subchannel)
-            else:
-                reselected = True
-                agent.current_prb = reselect(agent, params, rng, history, own_id=vid)
-        else:
-            agent.current_prb = (slot_index + period, subchannel)
-        events.append(
-            TransmissionEvent(
-                slot=slot_index,
-                vehicle_id=vid,
-                subchannel=subchannel,
-                collided=per_subchannel[subchannel] > 1,
-                expired=expired,
-                reselected=reselected,
-            )
-        )
-    return events
-
-
 def _sensing_slots(params: SpsParams) -> int:
     # sensing window is stated in ms; one slot lasts 2^-mu ms
     return max(1, int(round(params.sensing_window * 2**params.numerology)))
 
 
-def _init_agents(config: SimConfig, rng) -> list[SpsAgentState]:
+def _init_agents(config: SimConfig, rng) -> tuple[list[int], list[int], list[int]]:
+    """Each agent's first slot, subchannel and counter expiry slot.
+
+    Per agent, in vehicle order, three draws: the phase, the subchannel and
+    the reselection counter, whose expiry is the counter's last transmission.
+    """
     params = config.sps
     period = params.slots_per_rri
+    n_sc = params.num_subchannels
     rc_lo, rc_hi = params.rc_range
-    agents = []
-    for window in config.effective_windows:
-        agents.append(
-            SpsAgentState(
-                current_prb=(
-                    int(rng.integers(0, period)),
-                    int(rng.integers(0, params.num_subchannels)),
-                ),
-                rc=int(rng.integers(rc_lo, rc_hi + 1)),
-                window=window,
-            )
-        )
-    return agents
+    first, subchannel, expiry = [], [], []
+    for _ in range(config.num_vehicles):
+        slot = int(rng.integers(0, period))
+        first.append(slot)
+        subchannel.append(int(rng.integers(0, n_sc)))
+        expiry.append(slot + (int(rng.integers(rc_lo, rc_hi + 1)) - 1) * period)
+    return first, subchannel, expiry
 
 
 # ---------------------------------------------------------------------------
@@ -328,86 +227,84 @@ def _max_slots(params: SpsParams, target_reselections: int) -> int:
                * params.slots_per_rri)
 
 
-def _run_episode(config: SimConfig, rng, target_reselections: int, tally: _Tally) -> None:
-    """One sensing episode, stepped slot by slot through :func:`step`."""
-    params = config.sps
-    period = params.slots_per_rri
-    agents = _init_agents(config, rng)
-    history: History = {}
-    retention = _sensing_slots(params)
-    last_prune = 0
-
-    max_slots = _max_slots(params, target_reselections)
-    start = min(agent.current_prb[0] for agent in agents)
-
-    transmissions = collided = delivered = 0
-    reselections = 0
-    pair_trials = 0
-    pair_weight = pair_sq = 0.0
-    while reselections < target_reselections:
-        slot = min(agent.current_prb[0] for agent in agents)
-        if slot - start > max_slots:
-            break
-        if slot - last_prune >= retention:
-            for key in [key for key in history if key[0] < slot - retention]:
-                del history[key]
-            last_prune = slot
-        events = step(agents, slot, params, rng, history)
-        in_slot = len(events)
-        before = None  # (phase, subchannel) of every reservation before the step
-        for event in events:
-            transmissions += 1
-            collided += int(event.collided)
-            delivered += int(in_slot == 1)
-            if not event.reselected:
-                continue
-            reselections += 1
-            if before is None:
-                # transmitters were on (slot, subchannel); no one else moved
-                before = [(a.current_prb[0] % period, a.current_prb[1]) for a in agents]
-                for ev in events:
-                    before[ev.vehicle_id] = (slot % period, ev.subchannel)
-            new_slot, new_sc = agents[event.vehicle_id].current_prb
-            for vid, (phase_j, sc_j) in enumerate(before):
-                if vid == event.vehicle_id:
-                    continue
-                # exclusions skew the pick; score the realised choice
-                hit = float(new_slot % period == phase_j and new_sc == sc_j)
-                pair_trials += 1
-                pair_weight += hit
-                pair_sq += hit * hit
-
-    tally.add_episode(transmissions, collided, delivered, reselections,
-                      pair_trials, pair_weight, pair_sq)
+Run = tuple[int, int, int, int]  # (first, last, subchannel, vehicle), period apart
 
 
-def _run_blind_episode(config: SimConfig, rng, target_reselections: int,
-                       tally: _Tally) -> None:
-    """One sensing-off episode, advanced from one counter expiry to the next.
+def _next_prune(last_prune: int, retention: int, slot: int, period: int,
+                first: list[int]) -> int:
+    """The last prune at or before ``slot``, advanced from ``last_prune``.
+
+    A prune falls on the first occupied slot at least ``retention`` after
+    the previous one.  Called before the first reselection of each slot
+    that has one, so every finished run ended where the prunes were already
+    brought up to date: only the current runs (``first`` onwards) can hold
+    the next one.
+    """
+    while True:
+        due = last_prune + retention
+        nearest = min(max(start, due + (start - due) % period) for start in first)
+        if nearest > slot:
+            return last_prune
+        last_prune = nearest
+
+
+def _last_seen(vid: int, slot: int, heard_from: int, period: int,
+               first: list[int], subchannel: list[int],
+               runs: list[Run]) -> dict[tuple[int, int], int]:
+    """Per (phase, subchannel), the last slot in ``heard_from .. slot`` another vehicle used.
+
+    ``runs`` are finished runs ending at or after ``heard_from``; a current
+    run counts up to ``slot`` once it has started.
+    """
+    last_seen: dict[tuple[int, int], int] = {}
+    for start, last, sc, other in runs:
+        if other != vid:
+            key = (start % period, sc)
+            if last > last_seen.get(key, -1):
+                last_seen[key] = last
+    for other, (start, sc) in enumerate(zip(first, subchannel)):
+        if other != vid and start <= slot:
+            last = start + (slot - start) // period * period
+            key = (start % period, sc)
+            if last >= heard_from and last > last_seen.get(key, -1):
+                last_seen[key] = last
+    return last_seen
+
+
+def _run_episode(config: SimConfig, rng, target_reselections: int,
+                 tally: _Tally) -> None:
+    """One episode, advanced from one counter expiry to the next.
 
     Between its expiries an agent repeats its PRB every period and draws
     nothing, so only expiry slots are visited: in slot order, then vehicle
-    order, each expiry makes :func:`step`'s draws (keep, counter, and on
-    reselection the blind pick of :func:`reselect`).  The episode ends after
-    the slot in which the reselections reach the target, or at the
-    ``_max_slots`` guard; its transmissions are then counted from each
-    agent's periodic runs, cut at that final slot.
+    order, each expiry draws the keep coin and a fresh counter, and on
+    reselection the pick.  A blind pick is uniform over the window and is
+    scored by its hit probability against each neighbour's reservation
+    before the slot.  A sensed pick (``config.sensing``) reads
+    :func:`_last_seen` and is scored by the realised hit, since exclusions
+    skew it.  The episode ends after the slot in which the reselections
+    reach the target, or at the ``_max_slots`` guard; its transmissions are
+    then counted from each agent's periodic runs, cut at that final slot.
+
+    The sensing window is pruned in steps, as it would be slot by slot: at
+    the first occupied slot at least ``retention`` after the last prune,
+    everything older than ``retention`` goes.  So a reselection hears every
+    transmission since ``last_prune - retention``, and all reselections in
+    one slot hear the same, including the runs the earlier ones just ended.
     """
     params = config.sps
     period = params.slots_per_rri
     n_sc = params.num_subchannels
     keep_probability = params.keep_probability
     rc_lo, rc_hi = params.rc_range
-    agents = _init_agents(config, rng)
-    start = min(agent.current_prb[0] for agent in agents)
-    limit = start + _max_slots(params, target_reselections)
-
-    # each agent's current run: first slot, subchannel and expiry slot
-    first = [agent.current_prb[0] for agent in agents]
-    subchannel = [agent.current_prb[1] for agent in agents]
-    expiry = [agent.current_prb[0] + (agent.rc - 1) * period for agent in agents]
-    windows = [agent.window for agent in agents]
-    runs: list[tuple[int, int, int]] = []  # finished runs: (first, last, subchannel)
+    windows = config.effective_windows
+    sensing = config.sensing
+    first, subchannel, expiry = _init_agents(config, rng)
+    limit = min(first) + _max_slots(params, target_reselections)
+    runs: list[Run] = []  # finished runs, in the order they ended
+    if sensing:
+        retention = _sensing_slots(params)
+        last_prune = oldest = 0  # runs[oldest:] end inside the sensing window
 
     reselections = 0
     pair_trials = 0
@@ -428,18 +325,32 @@ def _run_blind_episode(config: SimConfig, rng, target_reselections: int,
                 continue
             if before is None:
                 before = [(s % period, sc) for s, sc in zip(first, subchannel)]
+                if sensing:
+                    last_prune = _next_prune(last_prune, retention, slot, period,
+                                             first)
+                    heard_from = last_prune - retention
+                    while oldest < len(runs) and runs[oldest][1] < heard_from:
+                        oldest += 1
             window = windows[vid]
-            runs.append((first[vid], slot, subchannel[vid]))
-            first[vid], subchannel[vid] = _uniform_pick(slot, window, n_sc, rng)
-            expiry[vid] = first[vid] + (rc - 1) * period
+            if sensing:
+                pick = _sensed_pick(slot, window, params, rng, _last_seen(
+                    vid, slot, heard_from, period, first, subchannel, runs[oldest:]))
+            else:
+                pick = _uniform_pick(slot, window, n_sc, rng)
+            runs.append((first[vid], slot, subchannel[vid], vid))
+            first[vid], subchannel[vid] = pick
+            expiry[vid] = pick[0] + (rc - 1) * period
             reselections += 1
-            # the pick is uniform over the window: score its hit probability
-            # against each neighbour's reservation
             pool = (window + 1) * n_sc
-            for other, (phase_j, sc_j) in enumerate(before):
+            picked = (pick[0] % period, pick[1])
+            for other, reservation in enumerate(before):
                 if other == vid:
                     continue
-                hit = _phase_hits(slot, window, phase_j, period) / pool
+                if sensing:
+                    hit = float(picked == reservation)
+                else:
+                    # uniform pick: its hit probability on the neighbour's phase
+                    hit = _phase_hits(slot, window, reservation[0], period) / pool
                 pair_trials += 1
                 pair_weight += hit
                 pair_sq += hit * hit
@@ -447,34 +358,34 @@ def _run_blind_episode(config: SimConfig, rng, target_reselections: int,
             end = slot
             break
 
-    for s, sc in zip(first, subchannel):
+    for vid, (s, sc) in enumerate(zip(first, subchannel)):
         if s <= end:
-            runs.append((s, s + (end - s) // period * period, sc))
+            runs.append((s, s + (end - s) // period * period, sc, vid))
     tally.add_episode(*_count_runs(runs, period), reselections,
                       pair_trials, pair_weight, pair_sq)
 
 
-def _count_runs(runs: list[tuple[int, int, int]], period: int) -> tuple[int, int, int]:
+def _count_runs(runs: list[Run], period: int) -> tuple[int, int, int]:
     """Transmissions, collided and delivered ones over periodic runs.
 
-    A run ``(first, last, subchannel)`` transmits on ``first``, ``first +
-    period``, ..., ``last``; one agent's runs never overlap.  Runs on
-    different phases never meet, so each phase is swept on its own over the
-    edges where runs start and stop.
+    A run ``(first, last, subchannel, vehicle)`` transmits on ``first``,
+    ``first + period``, ..., ``last``; one agent's runs never overlap.  Runs
+    on different phases never meet, so each phase is swept on its own over
+    the edges where runs start and stop.
     """
-    by_phase: dict[int, list[tuple[int, int, int]]] = {}
+    by_phase: dict[int, list[Run]] = {}
     for run in runs:
         by_phase.setdefault(run[0] % period, []).append(run)
     transmissions = collided = delivered = 0
     for group in by_phase.values():
         if len(group) == 1:
-            first, last, _ = group[0]
+            first, last, _, _ = group[0]
             count = (last - first) // period + 1
             transmissions += count
             delivered += count
             continue
-        edges = sorted([(first, 1, sc) for first, _, sc in group]
-                       + [(last + period, -1, sc) for _, last, sc in group])
+        edges = sorted([(first, 1, sc) for first, _, sc, _ in group]
+                       + [(last + period, -1, sc) for _, last, sc, _ in group])
         active: dict[int, int] = {}  # subchannel -> runs on it
         total = 0
         previous = edges[0][0]
@@ -519,9 +430,8 @@ def _collect(config: SimConfig, num_events: int, rng_seed, episodes: int) -> _Ta
     episodes = min(episodes, num_events)
     per_episode = math.ceil(num_events / episodes)
     tally = _Tally()
-    run_episode = _run_episode if config.sensing else _run_blind_episode
     for _ in range(episodes):
-        run_episode(config, rng, per_episode, tally)
+        _run_episode(config, rng, per_episode, tally)
     return tally
 
 

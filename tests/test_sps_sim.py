@@ -1,5 +1,7 @@
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,13 +17,11 @@ from v2i_fairness.sps_sim import (
     CollisionEstimate,
     PrrEstimate,
     SimConfig,
-    SpsAgentState,
-    _init_agents,
     _phase_hits,
+    _sensed_pick,
+    _uniform_pick,
     estimate_collision_prob,
     estimate_prr,
-    reselect,
-    step,
 )
 
 
@@ -40,41 +40,172 @@ def make_params(rri=0.05, n_sc=2, w=4, rc=(5, 15), keep=0.0, gamma=0.2):
     )
 
 
+# ---------------------------------------------------------------------------
+# the per-slot reference: every occupied slot stepped in turn, with the
+# sensing history kept as a dict of the transmissions heard
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Agent:
+    current_prb: tuple[int, int]  # (absolute slot of next transmission, subchannel)
+    rc: int
+    window: int
+
+
+class TransmissionEvent(NamedTuple):
+    slot: int
+    vehicle_id: int
+    subchannel: int
+    collided: bool
+    expired: bool      # reselection counter reached zero on this transmission
+    reselected: bool   # ... and the keep-probability draw chose a fresh PRB
+
+
+# (slot, subchannel) -> ids of the vehicles heard there
+History = dict[tuple[int, int], set[int]]
+
+
 def make_agent(slot=0, sc=0, rc=5, w=4):
-    return SpsAgentState(current_prb=(slot, sc), rc=rc, window=w)
+    return Agent(current_prb=(slot, sc), rc=rc, window=w)
+
+
+def reference_agents(config, rng):
+    """Uniform phase, subchannel and counter per vehicle, drawn in that order."""
+    params = config.sps
+    rc_lo, rc_hi = params.rc_range
+    return [
+        make_agent(slot=int(rng.integers(0, params.slots_per_rri)),
+                   sc=int(rng.integers(0, params.num_subchannels)),
+                   rc=int(rng.integers(rc_lo, rc_hi + 1)), w=w)
+        for w in config.effective_windows
+    ]
+
+
+def reference_reselect(agent, params, rng, history=None, *, own_id):
+    """The agent's next PRB, from the candidate list and a scan of ``history``.
+
+    Every transmission in ``history`` some vehicle other than ``own_id`` made
+    announces a reservation on its (slot phase, subchannel); matching
+    candidates are excluded, and below the candidate floor the exclusions
+    seen least recently are re-admitted.  Without history the pick is
+    uniform over the candidates.
+    """
+    trigger = agent.current_prb[0]
+    n_sc = params.num_subchannels
+    period = params.slots_per_rri
+    slots = range(trigger + 1, trigger + 2 + agent.window)
+    candidates = [(s, c) for s in slots for c in range(n_sc)]
+    last_seen: dict[tuple[int, int], int] = {}
+    for (obs_slot, obs_sc), vehicles in (history or {}).items():
+        if vehicles <= {own_id}:
+            continue
+        key = (obs_slot % period, obs_sc)
+        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
+
+    available = [prb for prb in candidates
+                 if (prb[0] % period, prb[1]) not in last_seen]
+    floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
+    if len(available) < floor:
+        admitted = set(available)
+        for key in sorted(last_seen, key=lambda key: (last_seen[key], key)):
+            if len(admitted) >= floor:
+                break
+            admitted.update(
+                prb for prb in candidates if (prb[0] % period, prb[1]) == key
+            )
+        available = sorted(admitted)
+    return available[int(rng.integers(0, len(available)))]
+
+
+def reference_step(agents, slot_index, params, rng, history: History | None = None):
+    """Advance every agent reserved on this slot; return its transmissions.
+
+    With sensing, every transmission is recorded into ``history`` before
+    any agent advances.  Each transmitter, in vehicle order, counts its
+    reselection counter down; on expiry it draws ``rng.random()`` against
+    the keep probability and a fresh counter, then either keeps its PRB for
+    the next period or calls :func:`reference_reselect`.
+    """
+    transmitters = [
+        (vid, agent)
+        for vid, agent in enumerate(agents)
+        if agent.current_prb[0] == slot_index
+    ]
+    per_subchannel: dict[int, int] = {}
+    for vid, agent in transmitters:
+        sc = agent.current_prb[1]
+        per_subchannel[sc] = per_subchannel.get(sc, 0) + 1
+        if history is not None:
+            history.setdefault((slot_index, sc), set()).add(vid)
+
+    period = params.slots_per_rri
+    rc_lo, rc_hi = params.rc_range
+    events = []
+    for vid, agent in transmitters:
+        subchannel = agent.current_prb[1]
+        agent.rc -= 1
+        expired = agent.rc <= 0
+        reselected = False
+        if expired:
+            keep = rng.random() < params.keep_probability
+            agent.rc = int(rng.integers(rc_lo, rc_hi + 1))
+            if keep:
+                agent.current_prb = (slot_index + period, subchannel)
+            else:
+                reselected = True
+                agent.current_prb = reference_reselect(agent, params, rng, history,
+                                                       own_id=vid)
+        else:
+            agent.current_prb = (slot_index + period, subchannel)
+        events.append(
+            TransmissionEvent(
+                slot=slot_index,
+                vehicle_id=vid,
+                subchannel=subchannel,
+                collided=per_subchannel[subchannel] > 1,
+                expired=expired,
+                reselected=reselected,
+            )
+        )
+    return events
 
 
 def replay(cfg, num_slots, seed):
     """Every transmission of one blind episode over ``num_slots`` slots.
 
-    Agents start on uniform phases, subchannels and counters, then ``step``
-    runs slot by slot until the next transmission falls past the horizon.
+    Agents start on uniform phases, subchannels and counters, then
+    ``reference_step`` runs slot by slot until the next transmission falls
+    past the horizon.
     """
-    params = cfg.sps
-    rc_lo, rc_hi = params.rc_range
     rng = np.random.default_rng(seed)
-    agents = [
-        make_agent(slot=int(rng.integers(0, params.slots_per_rri)),
-                   sc=int(rng.integers(0, params.num_subchannels)),
-                   rc=int(rng.integers(rc_lo, rc_hi + 1)), w=w)
-        for w in cfg.effective_windows
-    ]
+    agents = reference_agents(cfg, rng)
     events = []
     while (slot := min(agent.current_prb[0] for agent in agents)) < num_slots:
-        events.extend(step(agents, slot, params, rng))
+        events.extend(reference_step(agents, slot, cfg.sps, rng))
     return events
 
 
-def reference_blind_episode(config, rng, target_reselections, tally):
-    """The per-slot sensing-off episode the expiry-to-expiry loop replaced.
+def reference_episode(config, rng, target_reselections, tally, *, sensing):
+    """The per-slot episode the expiry-to-expiry loop replaced.
 
-    ``step`` runs on every occupied slot; each reselection's pick is scored
-    against the reservations every vehicle held before the slot.
+    ``reference_step`` runs on every occupied slot until the slot in which
+    the reselections reach the target, or past the slot guard.  Each
+    reselection is scored against the reservations every vehicle held
+    before the slot: a blind pick by its hit probability, a sensed one by
+    the realised hit.  With sensing the history is pruned at the first
+    occupied slot at least one sensing window after the previous prune.
     """
     params = config.sps
     period = params.slots_per_rri
     n_sc = params.num_subchannels
-    agents = _init_agents(config, rng)
+    agents = reference_agents(config, rng)
+    history: History | None = None
+    if sensing:
+        history = {}
+        # the sensing window is stated in ms; one slot lasts 2^-mu ms
+        retention = max(1, int(round(params.sensing_window * 2**params.numerology)))
+        last_prune = 0
 
     rc_hi = params.rc_range[1]
     max_slots = max(10_000, 20 * (target_reselections + 1) * rc_hi * period)
@@ -88,7 +219,11 @@ def reference_blind_episode(config, rng, target_reselections, tally):
         slot = min(agent.current_prb[0] for agent in agents)
         if slot - start > max_slots:
             break
-        events = step(agents, slot, params, rng)
+        if sensing and slot - last_prune >= retention:
+            for key in [key for key in history if key[0] < slot - retention]:
+                del history[key]
+            last_prune = slot
+        events = reference_step(agents, slot, params, rng, history)
         in_slot = len(events)
         before = None
         for event in events:
@@ -102,12 +237,16 @@ def reference_blind_episode(config, rng, target_reselections, tally):
                 before = [(a.current_prb[0] % period, a.current_prb[1]) for a in agents]
                 for ev in events:
                     before[ev.vehicle_id] = (slot % period, ev.subchannel)
+            new_slot, new_sc = agents[event.vehicle_id].current_prb
             window = agents[event.vehicle_id].window
             for vid, (phase_j, sc_j) in enumerate(before):
                 if vid == event.vehicle_id:
                     continue
-                hit = (_phase_hits(slot, window, phase_j, period)
-                       / ((window + 1) * n_sc))
+                if sensing:
+                    hit = float(new_slot % period == phase_j and new_sc == sc_j)
+                else:
+                    hit = (_phase_hits(slot, window, phase_j, period)
+                           / ((window + 1) * n_sc))
                 pair_trials += 1
                 pair_weight += hit
                 pair_sq += hit * hit
@@ -125,12 +264,21 @@ def reference_blind_episode(config, rng, target_reselections, tally):
         tally.episode_delivery_rates.append(delivered / transmissions)
 
 
+def reference_blind_episode(config, rng, target_reselections, tally):
+    reference_episode(config, rng, target_reselections, tally, sensing=False)
+
+
+def reference_sensing_episode(config, rng, target_reselections, tally):
+    reference_episode(config, rng, target_reselections, tally, sensing=True)
+
+
 def assert_matches_reference(monkeypatch, estimator, cfg, num_events, seed, episodes):
-    """Same estimate and the same RNG state afterwards on both blind loops."""
+    """Same estimate and the same RNG state afterwards as the per-slot loop."""
     rng = np.random.default_rng(seed)
     fast = estimator(cfg, num_events, rng, episodes=episodes)
+    reference = reference_sensing_episode if cfg.sensing else reference_blind_episode
     with monkeypatch.context() as patch:
-        patch.setattr(sps_sim, "_run_blind_episode", reference_blind_episode)
+        patch.setattr(sps_sim, "_run_episode", reference)
         ref_rng = np.random.default_rng(seed)
         ref = estimator(cfg, num_events, ref_rng, episodes=episodes)
     assert fast == ref, (cfg, seed)
@@ -163,60 +311,62 @@ def test_sim_config_default_windows():
 
 
 # ---------------------------------------------------------------------------
-# reselect
+# the pick
 # ---------------------------------------------------------------------------
 
 
 def test_reselect_forced_single_prb():
-    agent = make_agent(slot=10, w=0)
     params = make_params(n_sc=1)
-    assert reselect(agent, params, np.random.default_rng(0), own_id=0) == (11, 0)
+    for last_seen in ({}, {(11, 0): 3}):  # announced or not, the one PRB is picked
+        assert _sensed_pick(10, 0, params, np.random.default_rng(0), last_seen) == (11, 0)
 
 
 def test_reselect_avoids_sensed_reservations():
-    # N_Sc=2, w=1 -> four candidates; three phases observed -> one left
-    agent = make_agent(slot=100, w=1)
-    history = {
-        (51, 0): {7},   # phase 1 = slot 101
-        (52, 0): {8},   # phase 2 = slot 102
-        (51, 1): {9},   # phase 1, other subchannel
+    # N_Sc=2, w=1 -> four candidates; three phases announced -> one left
+    last_seen = {
+        (1, 0): 51,   # phase 1 = slot 101
+        (2, 0): 52,   # phase 2 = slot 102
+        (1, 1): 51,   # phase 1, other subchannel
     }
-    choice = reselect(agent, make_params(n_sc=2), np.random.default_rng(3),
-                      history, own_id=0)
+    choice = _sensed_pick(100, 1, make_params(n_sc=2), np.random.default_rng(3),
+                          last_seen)
     assert choice == (102, 1)
 
 
 def test_reselect_ignores_own_history():
-    agent = make_agent(slot=10, w=0)
-    history = {(11 - 50, 0): {4}}  # own phase, announced by vehicle 4 itself
-    choice = reselect(agent, make_params(n_sc=1), np.random.default_rng(0),
-                      history, own_id=4)
-    assert choice == (11, 0)
+    # T=5 and w=9 put the vehicle's own phase among its candidates; alone in
+    # the cell it hears only itself, so with sensing on it must pick exactly
+    # as a blind vehicle does, draw for draw
+    params = make_params(rri=0.005, n_sc=1, w=9, rc=(1, 2))
+    blind = SimConfig(sps=params, num_vehicles=1, windows=(9,))
+    aware = replace(blind, sensing=True)
+    rng, aware_rng = np.random.default_rng(4), np.random.default_rng(4)
+    assert estimate_prr(blind, 400, rng, episodes=4) == \
+        estimate_prr(aware, 400, aware_rng, episodes=4)
+    assert rng.bit_generator.state == aware_rng.bit_generator.state
 
 
 def test_reselect_floor_readmits_least_recent():
     # every candidate phase excluded; the floor of one forces the stalest
     # observation back into the pool, so the choice is deterministic
-    agent = make_agent(slot=200, w=3)
-    history = {
-        (151, 0): {1},  # phase 1 -> candidate slot 201, seen longest ago
-        (152, 0): {1},
-        (153, 0): {1},
-        (154, 0): {1},
+    last_seen = {
+        (1, 0): 151,  # phase 1 -> candidate slot 201, seen longest ago
+        (2, 0): 152,
+        (3, 0): 153,
+        (4, 0): 154,
     }
     params = make_params(n_sc=1, gamma=0.2)
-    choice = reselect(agent, params, np.random.default_rng(5), history, own_id=0)
+    choice = _sensed_pick(200, 3, params, np.random.default_rng(5), last_seen)
     assert choice == (201, 0)
 
 
 def test_reselect_uniform_over_candidates():
-    agent = make_agent(slot=0, w=4)
     params = make_params(n_sc=2)
     rng = np.random.default_rng(12)
     counts = {}
     trials = 100_000
     for _ in range(trials):
-        prb = reselect(agent, params, rng, own_id=0)
+        prb = _sensed_pick(0, 4, params, rng, {})
         counts[prb] = counts.get(prb, 0) + 1
     assert len(counts) == 10
     expect = trials / 10
@@ -227,24 +377,28 @@ def test_reselect_uniform_over_candidates():
 
 @pytest.mark.parametrize("n_sc", [1, 2, 4])
 def test_blind_pick_matches_candidate_list(n_sc):
-    # with no history (blind, or sensing before anything was heard) the pick
-    # is computed from the draw; the same draw indexes the same candidate
+    # the blind pick is computed from the draw, and so is the sensed one
+    # when nothing was announced; the same draw indexes the same candidate,
+    # also when the sensed pick lists the candidates because an announced
+    # reservation (on a subchannel out of range) excludes none of them
     params = make_params(n_sc=n_sc, w=15)
     for trigger in (0, 7, 49, 50, 123):
         for window in (0, 1, 4, 15, 60):
             candidates = [(s, c) for s in range(trigger + 1, trigger + 2 + window)
                           for c in range(n_sc)]
-            agent = make_agent(slot=trigger, w=window)
             for seed in range(5):
                 k = int(np.random.default_rng(seed).integers(0, len(candidates)))
-                for history in (None, {}):
-                    pick = reselect(agent, params, np.random.default_rng(seed),
-                                    history, own_id=0)
+                pick = _uniform_pick(trigger, window, n_sc, np.random.default_rng(seed))
+                assert pick == candidates[k]
+                for last_seen in ({}, {(0, n_sc): trigger}):
+                    pick = _sensed_pick(trigger, window, params,
+                                        np.random.default_rng(seed), last_seen)
                     assert pick == candidates[k]
 
 
 # ---------------------------------------------------------------------------
-# step and the reselection-counter lifecycle
+# the reselection-counter lifecycle, on the per-slot reference the episode
+# equality tests trust
 # ---------------------------------------------------------------------------
 
 
@@ -257,12 +411,12 @@ def test_step_transmission_schedule():
     for _ in range(7):
         slot = agent.current_prb[0]
         slots.append(slot)
-        step([agent], slot, params, rng)
+        reference_step([agent], slot, params, rng)
     assert slots == [5, 15, 25, 26, 36, 46, 47]
 
 
 def test_step_keep_probability_one_never_reselects():
-    # SpsParams caps P at 0.8 for the shared pool; step reads only these
+    # SpsParams caps P at 0.8 for the shared pool; the step reads only these
     # fields, so a stand-in pins a lone agent at P=1
     params = SimpleNamespace(slots_per_rri=50, num_subchannels=2,
                              rc_range=(1, 1), keep_probability=1.0,
@@ -272,7 +426,7 @@ def test_step_keep_probability_one_never_reselects():
     events = []
     for _ in range(200):
         slot = agents[0].current_prb[0]
-        events.extend(step(agents, slot, params, rng))
+        events.extend(reference_step(agents, slot, params, rng))
     assert all(ev.expired for ev in events)        # rc=1 expires every time
     assert not any(ev.reselected for ev in events)
     assert {(ev.slot % 50, ev.subchannel) for ev in events} == {(3, 1)}
@@ -307,7 +461,7 @@ def test_rc_strictly_decreases_and_redraws_uniformly():
     previous = agent.rc
     for _ in range(20_000):
         slot = agent.current_prb[0]
-        event = step([agent], slot, params, rng)[0]  # blind: counters only
+        event = reference_step([agent], slot, params, rng)[0]  # blind: counters only
         if event.expired:
             assert previous == 1  # counted all the way down
             redraws.append(agent.rc)
@@ -441,17 +595,45 @@ def test_blind_episode_guard_matches_per_slot_reference(monkeypatch):
         assert_matches_reference(monkeypatch, estimate_prr, cfg, 4, 5, episodes=2)
 
 
-def test_step_runs_only_with_sensing(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("step called")
+# (period, subchannels, windows): free candidates; six vehicles on five
+# candidate PRBs, so the floor re-admits; a one-slot period, where every
+# vehicle transmits and expires in the same slots; windows past the period
+SENSING_CELLS = [
+    (50, 2, (9, 9, 9, 9)),
+    (20, 1, (4, 4, 4, 4, 4, 4)),
+    (1, 2, (0, 2, 5)),
+    (3, 1, (0, 4, 2, 7, 1)),
+    (7, 4, (0, 15)),
+]
 
-    monkeypatch.setattr(sps_sim, "step", refuse)
-    params = make_params(rc=(2, 5))
-    blind = SimConfig(sps=params, num_vehicles=3, windows=(2, 4, 6))
-    assert estimate_prr(blind, 200, rng_seed=1, episodes=10).num_reselections >= 200
-    aware = SimConfig(sps=params, num_vehicles=3, sensing=True)
-    with pytest.raises(RuntimeError, match="step called"):
-        estimate_prr(aware, 200, rng_seed=1, episodes=10)
+
+@pytest.mark.parametrize("keep", [0.0, 0.5])
+@pytest.mark.parametrize("rc", [(1, 1), (2, 3), (5, 15)])
+def test_sensing_episodes_match_per_slot_reference(monkeypatch, keep, rc):
+    # sensing windows shorter than the period, a few periods long, and the
+    # default 1,000 slots; at 24 reselections per episode most episodes span
+    # several sensing windows, so the stepwise prune is crossed many times
+    for period, n_sc, windows in SENSING_CELLS:
+        params = make_params(rri=period / 1000, n_sc=n_sc, w=0, rc=rc, keep=keep)
+        for sensing_window in (3.0, 60.0, 1000.0):
+            cfg = SimConfig(sps=replace(params, sensing_window=sensing_window),
+                            num_vehicles=len(windows), windows=windows, sensing=True)
+            seed = period * 100 + n_sc * 10 + len(windows)
+            for estimator in (estimate_collision_prob, estimate_prr):
+                assert_matches_reference(monkeypatch, estimator, cfg, 48,
+                                         seed, episodes=2)
+
+
+def test_sensing_episode_guard_matches_per_slot_reference(monkeypatch):
+    # the stand-in of the blind guard test, with sensing on: P = 1, so every
+    # episode runs to the slot guard and is cut there
+    for period, num_vehicles, rc in [(1, 2, (1, 3)), (3, 3, (2, 2)), (50, 1, (5, 15))]:
+        params = SimpleNamespace(slots_per_rri=period, num_subchannels=2,
+                                 rc_range=rc, keep_probability=1.0,
+                                 candidate_fraction=0.2, selection_window=1,
+                                 sensing_window=5.0, numerology=0)
+        cfg = SimConfig(sps=params, num_vehicles=num_vehicles, sensing=True)
+        assert_matches_reference(monkeypatch, estimate_prr, cfg, 4, 5, episodes=2)
 
 
 def test_estimate_single_vehicle():
