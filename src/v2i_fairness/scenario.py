@@ -1,9 +1,10 @@
-"""Highway geometry: lanes, vehicle kinematics and roadside-unit distances.
+"""Highway geometry: the covered road segment, its lane speeds and the RSU position.
 
 A straight multi-lane road segment of length ``coverage_range`` runs along the
 first axis.  Vehicles enter at the origin end and traverse the segment at
 constant speed on the road axis; the roadside unit (RSU) sits next to the road
-at a fixed 3-D position.
+at a fixed 3-D position.  The fairness model reads every link at the mid-pass
+point (R/2, 0, 0), so the geometry enters it as one RSU distance.
 """
 
 from __future__ import annotations
@@ -59,16 +60,3 @@ class ScenarioConfig:
     def mean_speed(self) -> float:
         return float(np.mean(self.lane_speeds))
 
-
-def vehicle_position(speed: float, t: float) -> np.ndarray:
-    """Position at time t for a constant-speed drive along the first axis."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return np.array([speed * t, 0.0, 0.0])
-
-
-def distance_to_rsu(position: np.ndarray,
-                    rsu_position: tuple[float, float, float] | np.ndarray) -> float:
-    """Euclidean distance between a vehicle position and the RSU."""
-    return float(np.linalg.norm(np.asarray(position, dtype=float)
-                                - np.asarray(rsu_position, dtype=float)))

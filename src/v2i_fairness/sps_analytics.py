@@ -38,7 +38,6 @@ import numpy as np
 
 from .channel import ChannelParams, spectral_efficiency
 from .errors import ConfigError, ModelDomainError
-from .scenario import distance_to_rsu, vehicle_position
 
 COLLISION_MODELS = ("bounded-pool", "uniform-selection")
 
@@ -234,8 +233,8 @@ class FairnessInputs:
 
     The fairness kernels take trial windows as an argument.  Every link
     runs at |h| = 1 and is evaluated at the mid-pass epoch: a vehicle at
-    speed v sits at x = R/2 halfway through its residence time, so with the
-    RSU at (R/2, y, z) every lane sees the same link distance.
+    speed v sits at x = R/2 halfway through its residence time, whatever v
+    is, so every lane and the mean-speed network term share one link rate.
     """
 
     channel: ChannelParams
@@ -260,18 +259,21 @@ class FairnessInputs:
     def mean_speed(self) -> float:
         return float(np.mean(self.speeds))
 
-    def epoch_distance(self, speed: float) -> float:
-        """Link distance for a vehicle of `speed` at the mid-pass epoch."""
-        t = 0.5 * self.coverage_range / speed
-        return distance_to_rsu(vehicle_position(speed, t), self.rsu_position)
+    @cached_property
+    def kappa(self) -> float:
+        """log2(1 + SNR) of the link from the mid-pass point (R/2, 0, 0) to the RSU."""
+        mid_pass = np.array([self.coverage_range / 2, 0.0, 0.0])
+        rsu = np.asarray(self.rsu_position, dtype=float)
+        return spectral_efficiency(self.channel, float(np.linalg.norm(mid_pass - rsu)))
 
 
 def fairness_indices(windows, inputs: FairnessInputs):
     """K_index and K_index^i for M window vectors; (M, N) -> ((M,), (M, N)).
 
-    K_index^i is vehicle i's spectral efficiency times its survival product
-    over the other vehicles, per unit speed; K_index is the same index
-    evaluated at the network's mean speed and mean window.
+    K_index^i is the link rate kappa times vehicle i's survival product over
+    the other vehicles, per unit speed; K_index is the same index evaluated
+    at the network's mean speed and mean window.  Every lane shares the one
+    kappa, so channel and geometry scale both indices alike.
     """
     windows = np.asarray(windows)
     n = inputs.num_vehicles
@@ -283,9 +285,7 @@ def fairness_indices(windows, inputs: FairnessInputs):
     w = windows.astype(float)
 
     speeds = np.asarray(inputs.speeds, dtype=float)
-    kappa = np.array([spectral_efficiency(inputs.channel, 1.0,
-                                          inputs.epoch_distance(v))
-                      for v in inputs.speeds])
+    kappa = inputs.kappa
     delta = collision_probability(inputs.sps, w[:, :, None], w[:, None, :])
     off_diag = 1.0 - delta                                  # (M, N, N)
     idx = np.arange(n)
@@ -294,10 +294,8 @@ def fairness_indices(windows, inputs: FairnessInputs):
 
     v_bar = inputs.mean_speed
     w_bar = w.mean(axis=1)                                  # (M,)
-    kappa_net = spectral_efficiency(inputs.channel, 1.0,
-                                    inputs.epoch_distance(v_bar))
     delta_net = collision_probability(inputs.sps, w_bar, w_bar)
-    k_net = kappa_net * (1.0 - delta_net) ** (n - 1) / v_bar
+    k_net = kappa * (1.0 - delta_net) ** (n - 1) / v_bar
     return k_net, k_i
 
 

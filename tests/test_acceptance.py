@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_channel import j0_reference
 from test_moo_metrics import mc_hypervolume
 from test_nsga2 import (
     brute_force_fronts,
@@ -24,7 +23,6 @@ from test_nsga2 import (
     brute_force_survivors,
     make_population,
 )
-from v2i_fairness.channel import ar1_step, bessel_j0
 from v2i_fairness.cli import main as cli_main
 from v2i_fairness.config import ExperimentConfig
 from v2i_fairness.experiments import (
@@ -254,12 +252,6 @@ def test_nsga2_operators_match_brute_force():
 def test_numeric_kernels_match_references():
     problems = []
 
-    grid = np.linspace(0.0, 50.0, 201)
-    j0_err = max(abs(bessel_j0(float(x)) - j0_reference(float(x)))
-                 for x in grid)
-    if j0_err > 1e-6:
-        problems.append(f"J0 max error {j0_err:.2e} > 1e-6 on [0, 50]")
-
     front_rng = np.random.default_rng(7)
     hv_notes = []
     for dim, count in ((2, 40), (4, 60)):
@@ -271,19 +263,7 @@ def test_numeric_kernels_match_references():
             problems.append(f"{dim}-objective HV {hv:.5f} vs MC {mc:.5f}")
         hv_notes.append(f"{dim}-obj {abs(hv - mc) / hv:.2%}")
 
-    chains = np.ones(100_000, dtype=complex)
-    chain_rng = np.random.default_rng(17)
-    for _ in range(40):
-        chains = ar1_step(chains, 0.9, chain_rng)
-    power = np.abs(chains) ** 2
-    se = power.std(ddof=1) / math.sqrt(chains.size)
-    drift = abs(power.mean() - 1.0)
-    if drift >= max(3 * se, 0.02):
-        problems.append(f"AR(1) power drift {drift:.4f} over 1e5 chains")
-
-    detail = "; ".join(problems) or (
-        f"J0 max err {j0_err:.1e}; HV vs 1e6-sample MC {', '.join(hv_notes)}; "
-        f"AR(1) power drift {drift:.4f} (3*SE={3 * se:.4f})")
+    detail = "; ".join(problems) or f"HV vs 1e6-sample MC {', '.join(hv_notes)}"
     report("numeric kernels match independent references", not problems, detail)
 
 

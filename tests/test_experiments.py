@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from v2i_fairness import experiments
+from v2i_fairness.channel import ChannelParams
 from v2i_fairness.config import DEFAULT_GA, DEFAULT_SPS, ExperimentConfig
 from v2i_fairness.experiments import (
     fairness_inputs,
@@ -18,8 +20,9 @@ from v2i_fairness.experiments import (
     run_fig5_comparison,
     run_oracle_validation,
 )
+from v2i_fairness.nsga2 import pick_optimum
 from v2i_fairness.scenario import ScenarioConfig
-from v2i_fairness.sps_analytics import FairnessInputs, fairness_indices
+from v2i_fairness.sps_analytics import FairnessInputs, fairness_indices, objective_batch
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -70,6 +73,40 @@ def test_resolve_threshold_anchors_at_mid_bound_window():
                        coverage_range=inputs.coverage_range))
     assert resolve_threshold(config, inputs) == pytest.approx(
         config.ga.threshold * k_net[0])
+
+
+def exhaustive_optima(config: ExperimentConfig) -> list[tuple[tuple[int, ...], int]]:
+    """Threshold-filtered optimum and feasible count over the whole window grid, per point."""
+    lb, ub = config.sps.window_bounds
+    grid = np.array(list(itertools.product(range(lb, ub + 1),
+                                           repeat=config.scenario.num_lanes)))
+    found = []
+    for avg_speed in config.sweep:
+        inputs = fairness_inputs(config, config.lane_speeds_at(avg_speed))
+        objectives = objective_batch(grid, inputs)
+        threshold = resolve_threshold(config, inputs)
+        optimum = pick_optimum(grid, objectives, threshold)
+        found.append((optimum.windows,
+                      int(np.all(objectives <= threshold, axis=1).sum())))
+    return found
+
+
+def test_channel_and_geometry_keys_leave_the_exact_optimum_unchanged():
+    # every lane shares one link rate, so these keys only rescale the objectives
+    default = ExperimentConfig()
+    variants = {
+        "default": default,
+        "channel": replace(default, channel=ChannelParams(
+            tx_power=0.2, noise_power=0.05, path_loss_exponent=3.5)),
+        "geometry": replace(default, scenario=replace(
+            default.scenario, coverage_range=900.0,
+            rsu_position=(100.0, 40.0, 12.0))),
+    }
+    expected = [((15, 13, 11, 9), 5437), ((15, 12, 10, 8), 6377),
+                ((15, 12, 10, 8), 7381), ((15, 12, 10, 8), 8448),
+                ((15, 12, 10, 8), 9531)]
+    for name, config in variants.items():
+        assert exhaustive_optima(config) == expected, name
 
 
 def test_optimize_point_returns_consistent_optimum():

@@ -381,11 +381,42 @@ def test_network_index_between_homogeneous_substitutions():
     assert min(homogeneous) <= k_net <= max(homogeneous)
 
 
-def test_mid_pass_distance_is_speed_independent():
-    fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(22.0, 28.0))
-    assert fi.epoch_distance(22.0) == pytest.approx(fi.epoch_distance(28.0))
-    assert fi.epoch_distance(22.0) == pytest.approx(math.sqrt(125.0))
+def common_numerators(quotients, divisors) -> list[float]:
+    """Floats c near quotients[0] * divisors[0] with c / d == q for every pair."""
+    c = lo = hi = float(quotients[0] * divisors[0])
+    candidates = [c]
+    for _ in range(8):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        candidates += [lo, hi]
+    return [c for c in candidates
+            if all(c / d == q for q, d in zip(quotients, divisors))]
+
+
+def test_every_lane_reads_one_link_rate_off_centre():
+    """With equal windows each index is one numerator over its own speed.
+
+    Equal windows give every lane the same survival product, so with one
+    link rate kappa each K_index^i is c / v_i for one float c, bit for bit.
+    With two lanes the network term's (1 - delta)^(N-1) is that same
+    product, so K_index is c / v_bar too.  The RSU sits off the segment's
+    centre and the SNR is near 1 there, where the last bits of a per-lane
+    mid-pass distance would reach kappa.
+    """
+    channel = ChannelParams(noise_power=1e-5)
+    geometry = dict(rsu_position=(100.0, 40.0, 12.0), coverage_range=900.0)
+    for v_bar in (23.0, 24.0, 25.0, 26.0, 27.0):
+        for speeds in ((v_bar - 3, v_bar - 1, v_bar + 1, v_bar + 3),
+                       (v_bar - 1, v_bar + 1)):
+            fi = FairnessInputs(channel=channel, sps=SpsParams(), speeds=speeds,
+                                **geometry)
+            windows = np.repeat(np.arange(16)[:, None], len(speeds), axis=1)
+            k_net, k_i = fairness_indices(windows, fi)
+            for m in range(16):
+                quotients, divisors = list(k_i[m]), list(speeds)
+                if len(speeds) == 2:
+                    quotients.append(k_net[m])
+                    divisors.append(v_bar)
+                assert common_numerators(quotients, divisors), (speeds, m)
 
 
 # ---------------------------------------------------------------------------

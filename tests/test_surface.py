@@ -19,12 +19,7 @@ PACKAGE = REPO_ROOT / "src" / "v2i_fairness"
 SEARCH_ROOTS = ("src", "scripts", "benchmark")
 
 # Kept although no verb reaches them, each for one stated reason.
-EXEMPT = {
-    "channel.bessel_j0": "fading kernel; the acceptance suite checks it against a series",
-    "channel.correlation": "fading kernel; J0 of the Doppler lag, kept beside bessel_j0",
-    "channel.doppler_shift": "fading kernel; feeds correlation for a speed and carrier",
-    "channel.ar1_step": "fading kernel; the acceptance suite checks its stationary power",
-}
+EXEMPT: dict[str, str] = {}
 
 
 def public_definitions(package: Path) -> dict[str, ast.AST]:
