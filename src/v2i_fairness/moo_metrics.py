@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+NONDOMINATED_BLOCK = 256   # rows per scan block of `nondominated`
+
 
 def _as_points(front) -> np.ndarray:
     pts = np.asarray(front, dtype=float)
@@ -41,10 +43,38 @@ def dominance_matrix(points: np.ndarray) -> np.ndarray:
     return le & ~le.T
 
 
+def dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) booleans: [i, j] is True when row i of `a` dominates
+    row j of `b` (minimisation): no worse in every objective and not equal
+    in all.  Built one objective at a time, so only (len(a), len(b)) arrays
+    are allocated."""
+    le = np.less_equal.outer(a[:, 0], b[:, 0])
+    ge = np.greater_equal.outer(a[:, 0], b[:, 0])
+    for k in range(1, a.shape[1]):
+        le &= np.less_equal.outer(a[:, k], b[:, k])
+        ge &= np.greater_equal.outer(a[:, k], b[:, k])
+    return le & ~ge
+
+
 def nondominated(points: np.ndarray) -> np.ndarray:
-    """Distinct rows of `points` that no other row dominates, sorted by row."""
+    """Distinct rows of `points` that no other row dominates, sorted by row.
+
+    Sort-then-scan (Kung, Luccio & Preparata 1975): stable-sorted on the row
+    sum, a row can only be dominated by rows before it (a dominator's sum is
+    no larger, and on a tie it comes first in row order).  So each block of
+    the sorted rows is checked against the front found so far and then
+    against itself, and temporaries stay (front, block) rather than (n, n).
+    """
     pts = np.unique(_as_points(points), axis=0)
-    return pts[~dominance_matrix(pts).any(axis=0)]
+    order = np.argsort(pts.sum(axis=1), kind="stable")
+    front = np.empty(0, dtype=int)
+    for start in range(0, len(order), NONDOMINATED_BLOCK):
+        chunk = order[start:start + NONDOMINATED_BLOCK]
+        if len(front):
+            chunk = chunk[~dominates(pts[front], pts[chunk]).any(axis=0)]
+        chunk = chunk[~dominance_matrix(pts[chunk]).any(axis=0)]
+        front = np.concatenate([front, chunk])
+    return pts[np.sort(front)]
 
 
 def hypervolume(front, reference_point) -> float:

@@ -240,8 +240,8 @@ class FairnessInputs:
     channel: ChannelParams
     sps: SpsParams
     speeds: tuple[float, ...]                 # m/s, magnitudes
-    rsu_position: tuple[float, float, float] = (250.0, 10.0, 5.0)
-    coverage_range: float = 500.0             # m
+    rsu_position: tuple[float, float, float]  # m, from the scenario
+    coverage_range: float                     # m, from the scenario
 
     def __post_init__(self):
         if len(self.speeds) < 1:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import exhaustive_optima
 from test_moo_metrics import mc_hypervolume
 from test_nsga2 import (
     brute_force_fronts,
@@ -103,6 +104,24 @@ def test_optimal_windows_track_speed(fig4_run, default_config):
         f"windows non-increasing within one slot, fastest<=slowest, "
         f"sweep {elapsed:.0f}s")
     report("optimal windows shrink as speed grows", not problems, detail)
+
+
+def test_optimal_windows_equal_the_exhaustive_optimum(fig4_run, default_config):
+    path, _ = fig4_run
+    found: dict[str, list[int]] = {}
+    for row in read_rows(path):
+        found.setdefault(row["avg_speed"], []).append(int(row["optimal_window"]))
+    problems = []
+    for v, (exact, _) in zip(default_config.sweep, exhaustive_optima(default_config)):
+        got = tuple(found.get(format(v, ".12g"), ()))
+        if got != exact:
+            problems.append(f"v={v:g}: GA {got} vs exhaustive {exact}")
+    lb, ub = default_config.sps.window_bounds
+    detail = "; ".join(problems) or (
+        f"seed {default_config.seed}: GA windows equal the threshold-filtered "
+        f"optimum of all {(ub - lb + 1) ** default_config.scenario.num_lanes} "
+        f"window vectors at {len(default_config.sweep)} sweep points")
+    report("optimal windows equal the exhaustive optimum", not problems, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 import csv
 import hashlib
-import itertools
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import exhaustive_optima, window_grid
+from test_moo_metrics import loop_nondominated
 from v2i_fairness import experiments
 from v2i_fairness.channel import ChannelParams
 from v2i_fairness.config import DEFAULT_GA, DEFAULT_SPS, ExperimentConfig
 from v2i_fairness.experiments import (
+    exact_front,
     fairness_inputs,
     optimize_point,
     point_seed,
@@ -20,7 +22,7 @@ from v2i_fairness.experiments import (
     run_fig5_comparison,
     run_oracle_validation,
 )
-from v2i_fairness.nsga2 import pick_optimum
+from v2i_fairness.moo_metrics import nondominated
 from v2i_fairness.scenario import ScenarioConfig
 from v2i_fairness.sps_analytics import FairnessInputs, fairness_indices, objective_batch
 
@@ -73,22 +75,6 @@ def test_resolve_threshold_anchors_at_mid_bound_window():
                        coverage_range=inputs.coverage_range))
     assert resolve_threshold(config, inputs) == pytest.approx(
         config.ga.threshold * k_net[0])
-
-
-def exhaustive_optima(config: ExperimentConfig) -> list[tuple[tuple[int, ...], int]]:
-    """Threshold-filtered optimum and feasible count over the whole window grid, per point."""
-    lb, ub = config.sps.window_bounds
-    grid = np.array(list(itertools.product(range(lb, ub + 1),
-                                           repeat=config.scenario.num_lanes)))
-    found = []
-    for avg_speed in config.sweep:
-        inputs = fairness_inputs(config, config.lane_speeds_at(avg_speed))
-        objectives = objective_batch(grid, inputs)
-        threshold = resolve_threshold(config, inputs)
-        optimum = pick_optimum(grid, objectives, threshold)
-        found.append((optimum.windows,
-                      int(np.all(objectives <= threshold, axis=1).sum())))
-    return found
 
 
 def test_channel_and_geometry_keys_leave_the_exact_optimum_unchanged():
@@ -196,6 +182,12 @@ PINNED_SUMS = [0.014585455200338618, 0.017753480297210286, 0.012210444247884075,
 PINNED_HV = [3.504112961126197e-07, 3.8416505289008057e-07,
              4.5387352217294977e-07, 4.5646481931039984e-07,
              4.6223542290902406e-07]
+# against the exact grid front; the HV above shows the run itself is untouched
+PINNED_GD = [0.0016392373175128604, 0.001570415341049391, 0.0015023394286199775,
+             0.001065083596138657, 0.0011844788655749191]
+PINNED_IGD = [0.0005044688562282063, 0.0004116971262115889,
+              0.00039563661673491275, 0.0003680340293172607,
+              0.0004088716988094529]
 
 
 def test_small_config_results_are_pinned(tmp_path, monkeypatch):
@@ -214,6 +206,74 @@ def test_small_config_results_are_pinned(tmp_path, monkeypatch):
     run_fig3_metrics(config, tmp_path)
     np.testing.assert_allclose([s.hypervolume for s in history], PINNED_HV,
                                rtol=1e-12, atol=0)
+    np.testing.assert_allclose([s.gd for s in history], PINNED_GD,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([s.igd for s in history], PINNED_IGD,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lanes, stride", [(3, 31), (3, 10**6), (4, 31)])
+def test_exact_front_matches_loop_over_the_whole_grid(lanes, stride, monkeypatch):
+    """Exact whatever the sample (a stride past the grid samples one row),
+    and no evaluator call sees more than one chunk of the grid."""
+    monkeypatch.setattr(experiments, "_SAMPLE_STRIDE", stride)
+    speeds = (22.0, 24.0, 26.0, 28.0)[:lanes]
+    config = tiny_config(
+        scenario=ScenarioConfig(lane_speeds=speeds),
+        sps=replace(DEFAULT_SPS, window_bounds=(0, 7), selection_window=7))
+    inputs = fairness_inputs(config, speeds)
+    calls = []
+
+    def evaluator(genomes):
+        calls.append(len(genomes))
+        return objective_batch(genomes, inputs)
+
+    front = exact_front(evaluator, (0, 7), lanes)
+    expected = loop_nondominated(objective_batch(window_grid((0, 7), lanes), inputs))
+    np.testing.assert_array_equal(front, expected)
+    assert max(calls) <= experiments._GRID_CHUNK
+    assert sum(calls) == 8 ** lanes + len(range(0, 8 ** lanes, stride))
+
+
+def test_fig3_reference_is_the_exact_front(tmp_path, monkeypatch, capsys):
+    config = tiny_config()
+    fronts = []
+    real_run = experiments.run
+
+    def recording(*args, **kwargs):
+        fronts.append(kwargs.get("reference_front"))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", recording)
+    run_fig3_metrics(config, tmp_path)
+    inputs = fairness_inputs(config, config.scenario.lane_speeds)
+    expected = loop_nondominated(objective_batch(window_grid((0, 3), 2), inputs))
+    assert len(fronts) == 1
+    np.testing.assert_array_equal(fronts[0], expected)
+    assert f"reference front: exact grid, {len(expected)} points" in \
+        capsys.readouterr().out
+
+
+def test_fig3_above_the_grid_cap_uses_the_proxy_run(tmp_path, monkeypatch, capsys):
+    config = tiny_config()
+    monkeypatch.setattr(experiments, "EXACT_GRID_CAP", 15)    # the grid holds 16
+    monkeypatch.setattr(experiments, "exact_front", None)
+    calls = []
+    real_run = experiments.run
+
+    def recording(ga, *args, **kwargs):
+        result = real_run(ga, *args, **kwargs)
+        calls.append((ga.max_generations, kwargs.get("reference_front"), result))
+        return result
+
+    monkeypatch.setattr(experiments, "run", recording)
+    run_fig3_metrics(config, tmp_path)
+    (proxy_gens, proxy_ref, proxy), (gens, reference, _) = calls
+    assert (proxy_gens, gens) == (15, 3)
+    assert proxy_ref is None
+    np.testing.assert_array_equal(reference, nondominated(proxy.objectives))
+    assert f"reference front: 5x proxy run, {len(reference)} points" in \
+        capsys.readouterr().out
 
 
 def test_fig3_rerun_is_byte_identical(tmp_path):

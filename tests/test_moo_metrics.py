@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from v2i_fairness.moo_metrics import (
+    NONDOMINATED_BLOCK,
     MetricContext,
     dominance_matrix,
+    dominates,
     generational_distance,
     hypervolume,
     inverted_generational_distance,
@@ -43,7 +45,8 @@ def test_nondominated_single_point():
 
 
 def loop_nondominated(points) -> np.ndarray:
-    """The row-by-row filter `nondominated` used before the dominance matrix."""
+    """The row-by-row filter `nondominated` used before the dominance matrix
+    and the sort-then-scan."""
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     keep = np.ones(len(pts), dtype=bool)
     for i, p in enumerate(pts):
@@ -62,6 +65,26 @@ def test_nondominated_matches_loop_on_tied_integers(dim, seed):
     rng = np.random.default_rng(seed)
     pts = rng.integers(0, 4, size=(int(rng.integers(2, 80)), dim)).astype(float)
     np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
+
+
+@pytest.mark.parametrize("size", [300, 1000])
+@pytest.mark.parametrize("seed", range(3))
+def test_nondominated_matches_loop_across_scan_blocks(size, seed):
+    """More distinct rows than one scan block, with ties and equal row sums
+    (4 objectives in 0..9) falling on both sides of the block edges."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 10, size=(size, 4)).astype(float)
+    assert len(np.unique(pts, axis=0)) > NONDOMINATED_BLOCK
+    np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dominates_matches_pairwise(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 4, size=(20, 3)).astype(float)
+    b = rng.integers(0, 4, size=(30, 3)).astype(float)
+    expected = [[bool(np.all(p <= q) and np.any(p < q)) for q in b] for p in a]
+    np.testing.assert_array_equal(dominates(a, b), expected)
 
 
 def test_nondominated_all_equal_rows_collapse_to_one():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from v2i_fairness.channel import ChannelParams
 from v2i_fairness.errors import ConfigError, ModelDomainError
+from v2i_fairness.scenario import ScenarioConfig
 from v2i_fairness.sps_analytics import (
     FairnessInputs,
     SpsParams,
@@ -320,6 +321,11 @@ def test_broadcast_domain_checks_cover_every_element():
 # ---------------------------------------------------------------------------
 
 
+# the scenario's geometry; FairnessInputs has no defaults of its own
+GEOMETRY = dict(rsu_position=ScenarioConfig().rsu_position,
+                coverage_range=ScenarioConfig().coverage_range)
+
+
 def unit_snr_channel():
     return ChannelParams(tx_power=1.0, noise_power=1.0, path_loss_exponent=0.0)
 
@@ -334,7 +340,7 @@ def network_index(inputs: FairnessInputs, windows) -> float:
 
 def test_fairness_single_vehicle_unit_case():
     fi = FairnessInputs(channel=unit_snr_channel(), sps=SpsParams(),
-                        speeds=(1.0,))
+                        speeds=(1.0,), **GEOMETRY)
     assert vehicle_index(fi, (8,), 0) == pytest.approx(1.0)
     assert network_index(fi, (8,)) == pytest.approx(1.0)
 
@@ -342,7 +348,8 @@ def test_fairness_single_vehicle_unit_case():
 def test_fairness_halves_when_speed_doubles():
     p = SpsParams()
     for v in (5.0, 20.0, 25.0):
-        a = FairnessInputs(channel=unit_snr_channel(), sps=p, speeds=(v, 24.0))
+        a = FairnessInputs(channel=unit_snr_channel(), sps=p, speeds=(v, 24.0),
+                           **GEOMETRY)
         b = replace(a, speeds=(2 * v, 24.0))
         assert vehicle_index(b, (8, 8), 0) == pytest.approx(
             vehicle_index(a, (8, 8), 0) / 2.0)
@@ -351,27 +358,27 @@ def test_fairness_halves_when_speed_doubles():
 @given(st.floats(20.0, 29.0), st.floats(0.1, 5.0))
 def test_fairness_decreasing_in_speed(v, dv):
     a = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                       speeds=(v, 24.0))
+                       speeds=(v, 24.0), **GEOMETRY)
     b = replace(a, speeds=(v + dv, 24.0))
     assert vehicle_index(b, (8, 8), 0) < vehicle_index(a, (8, 8), 0)
 
 
 def test_fairness_nonincreasing_in_neighbour_window():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(24.0, 26.0))
+                        speeds=(24.0, 26.0), **GEOMETRY)
     assert vehicle_index(fi, (8, 14), 0) < vehicle_index(fi, (8, 2), 0)
 
 
 def test_network_index_matches_homogeneous_vehicles():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(25.0,) * 4)
+                        speeds=(25.0,) * 4, **GEOMETRY)
     k_net, k_i = fairness_indices([(9,) * 4], fi)
     np.testing.assert_allclose(k_i[0], k_net[0], rtol=1e-12)
 
 
 def test_network_index_between_homogeneous_substitutions():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(22.0, 24.0, 26.0, 28.0))
+                        speeds=(22.0, 24.0, 26.0, 28.0), **GEOMETRY)
     windows = (3, 7, 11, 15)
     k_net = network_index(fi, windows)
     homogeneous = []
@@ -427,7 +434,7 @@ def test_every_lane_reads_one_link_rate_off_centre():
 def four_lane_inputs(model="bounded-pool"):
     return FairnessInputs(channel=ChannelParams(),
                           sps=SpsParams(collision_model=model),
-                          speeds=(22.0, 24.0, 26.0, 28.0))
+                          speeds=(22.0, 24.0, 26.0, 28.0), **GEOMETRY)
 
 
 def objective_row(w, inputs: FairnessInputs) -> np.ndarray:
@@ -436,7 +443,7 @@ def objective_row(w, inputs: FairnessInputs) -> np.ndarray:
 
 def test_objective_vector_zero_for_homogeneous_network():
     fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
-                        speeds=(25.0,) * 4)
+                        speeds=(25.0,) * 4, **GEOMETRY)
     np.testing.assert_allclose(objective_row([6] * 4, fi), 0.0, atol=1e-15)
 
 
@@ -494,4 +501,5 @@ def test_objective_batch_shape_validation():
 
 def test_fairness_inputs_validation():
     with pytest.raises(ConfigError, match="speeds"):
-        FairnessInputs(channel=ChannelParams(), sps=SpsParams(), speeds=())
+        FairnessInputs(channel=ChannelParams(), sps=SpsParams(), speeds=(),
+                       **GEOMETRY)
