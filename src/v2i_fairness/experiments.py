@@ -36,12 +36,27 @@ _FIG3_STREAM = 500
 _ORACLE_STREAM = 1000
 
 # fig3 scores window grids up to this many vectors for its exact reference
-# front; above it the front of a 5x-longer GA run stands in
-EXACT_GRID_CAP = 2 ** 20
+# front; above it the front of a 5x-longer GA run stands in.  The cap sits
+# below where the two costs cross at the default GA (300 x 100 generations),
+# CPU s on a 2-vCPU Xeon host:
+#   lanes  grid vectors   exact_front   5x run (500 generations)
+#     4        390,625        1.3          4.8
+#     5        371,293        2.5          5.3
+#     5      1,048,576        7.1          5.3
+#     6        262,144        4.0          5.6
+#     6        531,441       11.5          5.6
+# The 5x run's peak RSS is about 8 MiB over the imports, exact_front's 6.9
+# MiB at 6 lanes x 2^18 and 19.5 MiB at 6 lanes x 12^6.  A shorter GA makes
+# the 5x run cheaper (0.4 s at 8 generations) but its front further from
+# the true one.
+EXACT_GRID_CAP = 2 ** 18
 # grid rows per evaluator call: one call on the whole default grid (16^4)
 # peaks near 86 MiB, against about 42 MiB for all of fig3
 _GRID_CHUNK = 1024
-# every 31st grid row seeds exact_front's filter
+# every 31st grid row seeds exact_front's filter.  Without it (every chunk
+# kept, one `nondominated` call on the whole grid) the 16^4 front costs 0.30
+# CPU s and 6.8 MiB over the imports, against 0.15 s and 1.9 MiB with it;
+# 16^5 costs 16.1 s and 125 MiB, against 7.1 s and 5.4 MiB
 _SAMPLE_STRIDE = 31
 
 

@@ -29,31 +29,33 @@ def _as_points(front) -> np.ndarray:
     return pts
 
 
+def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) booleans: [i, j] is True when row i of `a` is <= row
+    j of `b` in every objective.  Built one objective at a time, so only
+    (len(a), len(b)) arrays are allocated."""
+    le = np.less_equal.outer(a[:, 0], b[:, 0])
+    for k in range(1, a.shape[1]):
+        le &= np.less_equal.outer(a[:, k], b[:, k])
+    return le
+
+
 def dominance_matrix(points: np.ndarray) -> np.ndarray:
     """(n, n) booleans: [i, j] is True when row i dominates row j (minimisation).
 
-    `le[i, j]` (row i <= row j in every objective) is built one objective at
-    a time, so only (n, n) arrays are allocated; i dominates j when
-    `le[i, j]` holds and `le[j, i]` does not.  Rows must be finite.
+    Equal to `dominates(points, points)` with half its comparisons: i
+    dominates j when `le[i, j]` holds and `le[j, i]` does not.  Rows must be
+    finite.
     """
     pts = np.asarray(points, dtype=float)
-    le = np.less_equal.outer(pts[:, 0], pts[:, 0])
-    for k in range(1, pts.shape[1]):
-        le &= np.less_equal.outer(pts[:, k], pts[:, k])
+    le = _all_le(pts, pts)
     return le & ~le.T
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) booleans: [i, j] is True when row i of `a` dominates
     row j of `b` (minimisation): no worse in every objective and not equal
-    in all.  Built one objective at a time, so only (len(a), len(b)) arrays
-    are allocated."""
-    le = np.less_equal.outer(a[:, 0], b[:, 0])
-    ge = np.greater_equal.outer(a[:, 0], b[:, 0])
-    for k in range(1, a.shape[1]):
-        le &= np.less_equal.outer(a[:, k], b[:, k])
-        ge &= np.greater_equal.outer(a[:, k], b[:, k])
-    return le & ~ge
+    in all."""
+    return _all_le(a, b) & ~_all_le(b, a).T
 
 
 def nondominated(points: np.ndarray) -> np.ndarray:
