@@ -4,7 +4,8 @@
 Usage:
   python scripts/run_all.py [--config configs/default.yaml] [--out results] [--seed N]
 
-Stops at the first failing step and propagates its exit code.
+Prints each verb's wall-clock and CPU seconds.  Stops at the first failing
+step and propagates its exit code.
 """
 
 import argparse
@@ -29,9 +30,10 @@ def main() -> int:
 
     for verb in ("validate-config", "fig4", "fig5", "fig3", "oracle"):
         print(f"\n=== {verb} ===")
-        start = time.time()
+        start, cpu_start = time.perf_counter(), time.process_time()
         code = cli_main([verb, *common])
-        print(f"[{verb}] exit {code} in {time.time() - start:.1f}s")
+        print(f"[{verb}] exit {code} in {time.perf_counter() - start:.1f}s "
+              f"({time.process_time() - cpu_start:.1f} CPU s)")
         if code != 0:
             return code
     return 0

@@ -28,7 +28,7 @@ from .sps_analytics import (
     objective_batch,
     packet_reception_ratio,
 )
-from .sps_sim import SimConfig, estimate_collision_prob, estimate_prr
+from .sps_sim import SimConfig, estimate
 from .util import atomic_write_text
 
 # spawn-key offsets keep the per-point streams of different runners disjoint
@@ -314,9 +314,11 @@ def run_oracle_validation(config: ExperimentConfig,
                           episodes: int = 2000) -> tuple[Path, bool]:
     """Side-by-side analytic vs simulated collision probability and PRR.
 
-    Collision rows check the reselection-instant reading against the pairwise
-    analytic value with tolerance max(15% relative, 0.005 absolute); PRR rows
-    use +/-0.02 absolute.  Each row carries two standard errors: `std_error`
+    Each case is simulated once, and its collision and PRR rows read the
+    same tally (:func:`~v2i_fairness.sps_sim.estimate`).  Collision rows
+    check the reselection-instant reading against the pairwise analytic
+    value with tolerance max(15% relative, 0.005 absolute); PRR rows use
+    +/-0.02 absolute.  Each row carries two standard errors: `std_error`
     treats every reselection (or transmission) as independent, `cluster_se`
     comes from the spread of per-episode rates and is the one to read when
     events within an episode are correlated.  Neither enters the tolerance.
@@ -332,12 +334,11 @@ def run_oracle_validation(config: ExperimentConfig,
         sps = case.sps
         window = sps.selection_window
         sim_cfg = SimConfig(sps=sps, num_vehicles=case.num_vehicles)
-        col_seed = point_seed(config.seed, _ORACLE_STREAM + 2 * k)
-        prr_seed = point_seed(config.seed, _ORACLE_STREAM + 2 * k + 1)
-        col = estimate_collision_prob(sim_cfg, num_events, rng_seed=col_seed,
-                                      episodes=episodes)
-        prr = estimate_prr(sim_cfg, num_events, rng_seed=prr_seed,
-                           episodes=episodes)
+        # case k keeps the even offset its collision estimate had when the
+        # PRR ran a second simulation on the odd one
+        col, prr = estimate(sim_cfg, num_events,
+                            rng_seed=point_seed(config.seed, _ORACLE_STREAM + 2 * k),
+                            episodes=episodes)
         if case.num_vehicles == 1:
             delta_ana = 0.0
         else:

@@ -34,11 +34,18 @@ closed-form model is ambiguous about which event it counts:
 The first matches the random-selection model exactly in the stationary
 regime; the second runs slightly hot because reselection shortens the
 average gap between transmissions.  Both are returned so the discrepancy
-stays visible.
+stays visible.  :func:`estimate` returns both readings and the PRR from one
+simulation.
+
+Draws come in blocks: an estimate asks its Generator for ``_BLOCK``
+uniforms at a time and hands them out one by one, and an integer in
+``[lo, hi)`` is ``lo + floor(u * (hi - lo))`` of the next uniform ``u``.  A
+Generator passed in as ``rng_seed`` therefore advances by whole blocks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,6 +59,7 @@ __all__ = [
     "SimConfig",
     "CollisionEstimate",
     "PrrEstimate",
+    "estimate",
     "estimate_collision_prob",
     "estimate_prr",
 ]
@@ -92,6 +100,28 @@ class SimConfig:
         if self.windows is not None:
             return self.windows
         return (self.sps.selection_window,) * self.num_vehicles
+
+
+# uniforms per Generator call; the draws do not depend on it, only how far a
+# passed-in Generator has advanced when an estimate returns
+_BLOCK = 1024
+
+
+class _Draws:
+    """The Generator's scalar ``random()`` and ``integers(lo, hi)``, from blocks.
+
+    A scalar Generator call costs about a microsecond, ``integers`` about
+    three; here a draw is a step through a list of ``_BLOCK`` uniforms.
+    ``integers`` is ``lo + floor(u * (hi - lo))``: always below ``hi`` for
+    ranges under 2^53, with a bias of at most ``(hi - lo) * 2^-53``.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        blocks = (rng.random(size).tolist() for size in itertools.repeat(_BLOCK))
+        self.random = itertools.chain.from_iterable(blocks).__next__
+
+    def integers(self, lo: int, hi: int) -> int:
+        return lo + int(self.random() * (hi - lo))
 
 
 def _uniform_pick(trigger: int, window: int, n_sc: int, rng) -> tuple[int, int]:
@@ -424,15 +454,57 @@ def _cluster_se(rates: list[float]) -> float:
 
 
 def _collect(config: SimConfig, num_events: int, rng_seed, episodes: int) -> _Tally:
+    if num_events < 1:
+        raise ValueError(f"num_events must be >= 1, got {num_events}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    rng = as_rng(rng_seed)
+    rng = _Draws(as_rng(rng_seed))
     episodes = min(episodes, num_events)
     per_episode = math.ceil(num_events / episodes)
     tally = _Tally()
     for _ in range(episodes):
         _run_episode(config, rng, per_episode, tally)
     return tally
+
+
+def _collision_estimate(config: SimConfig, tally: _Tally) -> CollisionEstimate:
+    if config.num_vehicles < 2:  # a lone vehicle cannot collide
+        return CollisionEstimate(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+    collided = tally.collided / tally.transmissions if tally.transmissions else 0.0
+    pair = tally.pair_weight / tally.pair_trials if tally.pair_trials else 0.0
+    return CollisionEstimate(
+        collided_fraction=collided,
+        collided_se=_binomial_se(tally.collided, tally.transmissions),
+        reselection_collision=pair,
+        reselection_se=_sample_se(tally.pair_weight, tally.pair_sq, tally.pair_trials),
+        num_transmissions=tally.transmissions,
+        num_reselections=tally.reselections,
+        cluster_se=_cluster_se(tally.episode_pair_rates),
+    )
+
+
+def _prr_estimate(tally: _Tally) -> PrrEstimate:
+    value = tally.delivered / tally.transmissions if tally.transmissions else 1.0
+    return PrrEstimate(
+        value=value,
+        std_error=_binomial_se(tally.delivered, tally.transmissions),
+        num_transmissions=tally.transmissions,
+        num_reselections=tally.reselections,
+        cluster_se=_cluster_se(tally.episode_delivery_rates),
+    )
+
+
+def estimate(
+    config: SimConfig, num_events: int, rng_seed=None, *, episodes: int = 200
+) -> tuple[CollisionEstimate, PrrEstimate]:
+    """Collision probability and PRR, both read from one simulation.
+
+    The pair is exactly what :func:`estimate_collision_prob` and
+    :func:`estimate_prr` return for the same arguments, at the cost of one
+    of them.
+    """
+    tally = _collect(config, num_events, rng_seed, episodes)
+    return _collision_estimate(config, tally), _prr_estimate(tally)
 
 
 def estimate_collision_prob(
@@ -449,19 +521,8 @@ def estimate_collision_prob(
     if num_events < 1:
         raise ValueError(f"num_events must be >= 1, got {num_events}")
     if config.num_vehicles < 2:
-        return CollisionEstimate(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
-    tally = _collect(config, num_events, rng_seed, episodes)
-    collided = tally.collided / tally.transmissions if tally.transmissions else 0.0
-    pair = tally.pair_weight / tally.pair_trials if tally.pair_trials else 0.0
-    return CollisionEstimate(
-        collided_fraction=collided,
-        collided_se=_binomial_se(tally.collided, tally.transmissions),
-        reselection_collision=pair,
-        reselection_se=_sample_se(tally.pair_weight, tally.pair_sq, tally.pair_trials),
-        num_transmissions=tally.transmissions,
-        num_reselections=tally.reselections,
-        cluster_se=_cluster_se(tally.episode_pair_rates),
-    )
+        return _collision_estimate(config, _Tally())
+    return _collision_estimate(config, _collect(config, num_events, rng_seed, episodes))
 
 
 def estimate_prr(
@@ -474,14 +535,4 @@ def estimate_prr(
     transmitting radio cannot receive).  Episodes are split as in
     :func:`estimate_collision_prob`: ``min(episodes, num_events)`` of them.
     """
-    if num_events < 1:
-        raise ValueError(f"num_events must be >= 1, got {num_events}")
-    tally = _collect(config, num_events, rng_seed, episodes)
-    value = tally.delivered / tally.transmissions if tally.transmissions else 1.0
-    return PrrEstimate(
-        value=value,
-        std_error=_binomial_se(tally.delivered, tally.transmissions),
-        num_transmissions=tally.transmissions,
-        num_reselections=tally.reselections,
-        cluster_se=_cluster_se(tally.episode_delivery_rates),
-    )
+    return _prr_estimate(_collect(config, num_events, rng_seed, episodes))

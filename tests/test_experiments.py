@@ -315,10 +315,11 @@ def test_oracle_report_deterministic(tmp_path):
 
 
 def test_oracle_report_bytes_are_pinned(tmp_path):
-    # recorded from the per-slot simulator: any change to the simulator's
-    # RNG stream or to the report's formatting moves this digest
+    # recorded from the 0.5.0 simulator (block draws, one simulation per
+    # case): any change to the simulator's RNG stream or to the report's
+    # formatting moves this digest
     path, ok = run_oracle_validation(tiny_config(), tmp_path,
                                      num_events=2000, episodes=200)
     assert ok
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "126768699f84aa103d9f6e0e501368368f431854e9e289c9e318b4100625b146"
+        "5dd46c8860a340cf0561f45a6ad59d0c3ecfafaa3c9dd1e925655497ec3929a2"

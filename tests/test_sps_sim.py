@@ -17,9 +17,11 @@ from v2i_fairness.sps_sim import (
     CollisionEstimate,
     PrrEstimate,
     SimConfig,
+    _Draws,
     _phase_hits,
     _sensed_pick,
     _uniform_pick,
+    estimate,
     estimate_collision_prob,
     estimate_prr,
 )
@@ -273,7 +275,12 @@ def reference_sensing_episode(config, rng, target_reselections, tally):
 
 
 def assert_matches_reference(monkeypatch, estimator, cfg, num_events, seed, episodes):
-    """Same estimate and the same RNG state afterwards as the per-slot loop."""
+    """Same estimate and the same RNG state afterwards as the per-slot loop.
+
+    Draws are taken one uniform per Generator call, so the state comparison
+    counts every draw rather than whole blocks.
+    """
+    monkeypatch.setattr(sps_sim, "_BLOCK", 1)
     rng = np.random.default_rng(seed)
     fast = estimator(cfg, num_events, rng, episodes=episodes)
     reference = reference_sensing_episode if cfg.sensing else reference_blind_episode
@@ -333,10 +340,11 @@ def test_reselect_avoids_sensed_reservations():
     assert choice == (102, 1)
 
 
-def test_reselect_ignores_own_history():
+def test_reselect_ignores_own_history(monkeypatch):
     # T=5 and w=9 put the vehicle's own phase among its candidates; alone in
     # the cell it hears only itself, so with sensing on it must pick exactly
-    # as a blind vehicle does, draw for draw
+    # as a blind vehicle does, draw for draw (one uniform per Generator call)
+    monkeypatch.setattr(sps_sim, "_BLOCK", 1)
     params = make_params(rri=0.005, n_sc=1, w=9, rc=(1, 2))
     blind = SimConfig(sps=params, num_vehicles=1, windows=(9,))
     aware = replace(blind, sensing=True)
@@ -360,19 +368,59 @@ def test_reselect_floor_readmits_least_recent():
     assert choice == (201, 0)
 
 
+def assert_uniform(outcomes, categories):
+    """Every category seen, each within three binomial sigmas of its share."""
+    counts = {}
+    for outcome in outcomes:
+        counts[outcome] = counts.get(outcome, 0) + 1
+    assert len(counts) == categories
+    trials = len(outcomes)
+    expect = trials / categories
+    sigma = np.sqrt(trials * (1 / categories) * (1 - 1 / categories))
+    for count in counts.values():
+        assert abs(count - expect) < 3 * sigma
+
+
 def test_reselect_uniform_over_candidates():
     params = make_params(n_sc=2)
     rng = np.random.default_rng(12)
-    counts = {}
-    trials = 100_000
-    for _ in range(trials):
-        prb = _sensed_pick(0, 4, params, rng, {})
-        counts[prb] = counts.get(prb, 0) + 1
-    assert len(counts) == 10
-    expect = trials / 10
-    sigma = np.sqrt(trials * 0.1 * 0.9)
-    for count in counts.values():
-        assert abs(count - expect) < 3 * sigma
+    assert_uniform([_sensed_pick(0, 4, params, rng, {}) for _ in range(100_000)], 10)
+
+
+# ---------------------------------------------------------------------------
+# the block draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 7, sps_sim._BLOCK])
+def test_draws_are_the_generator_uniforms_whatever_the_block(monkeypatch, block):
+    # random() hands out the Generator's own uniforms in order, and
+    # integers(lo, hi) is lo + floor(u * (hi - lo)) of the next one
+    monkeypatch.setattr(sps_sim, "_BLOCK", block)
+    uniforms = np.random.default_rng(3).random(4000)
+    draws = _Draws(np.random.default_rng(3))
+    assert [draws.random() for _ in range(1000)] == uniforms[:1000].tolist()
+    for lo, n, part in zip((0, 5, -2), (3, 1000, 10**15 + 7),
+                           np.split(uniforms[1000:], 3)):
+        assert [draws.integers(lo, lo + n) for _ in part] == \
+            [lo + math.floor(u * n) for u in part]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**15 + 7])
+def test_draws_integers_stay_in_range_at_the_edges(n):
+    # 0 and 1 - 2^-53 are the smallest and largest uniforms a Generator returns
+    edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    draws = _Draws(SimpleNamespace(random=lambda size: edges))
+    got = [draws.integers(7, 7 + n) for _ in edges]
+    assert got[0] == 7 and got[-1] == 7 + n - 1
+    assert all(7 <= k < 7 + n for k in got)
+
+
+def test_draws_pick_uniform_over_candidates():
+    params = make_params(n_sc=2)
+    draws = _Draws(np.random.default_rng(12))
+    assert_uniform([_sensed_pick(0, 4, params, draws, {}) for _ in range(100_000)], 10)
+    assert_uniform([draws.integers(0, 3) for _ in range(30_000)], 3)
 
 
 @pytest.mark.parametrize("n_sc", [1, 2, 4])
@@ -543,24 +591,24 @@ def test_estimates_are_pinned():
                       num_vehicles=6, sensing=True)
     assert estimate_collision_prob(blind, 3000, rng_seed=31, episodes=30) == \
         CollisionEstimate(
-            collided_fraction=0.018693353474320242, collided_se=0.0013160033452042515,
-            reselection_collision=0.009906349206349207,
-            reselection_se=0.00041395206364207586, num_transmissions=10592,
-            num_reselections=3000, cluster_se=0.0008484291723757125)
+            collided_fraction=0.022964899178491413, collided_se=0.0014472783741656576,
+            reselection_collision=0.011644444444444449,
+            reselection_se=0.0004537740103176266, num_transmissions=10712,
+            num_reselections=3000, cluster_se=0.0008673944006512222)
     assert estimate_prr(blind, 3000, rng_seed=32, episodes=30) == PrrEstimate(
-        value=0.9429944407801752, std_error=0.0022505781042316533,
-        num_transmissions=10613, num_reselections=3000,
-        cluster_se=0.004624709868351863)
+        value=0.9482370592648162, std_error=0.002145397966901917,
+        num_transmissions=10664, num_reselections=3000,
+        cluster_se=0.008199685869693071)
     assert estimate_collision_prob(aware, 3000, rng_seed=31, episodes=30) == \
         CollisionEstimate(
-            collided_fraction=0.2680218332392245, collided_se=0.004296840615610047,
-            reselection_collision=0.031389536821059646,
-            reselection_se=0.0014234723374373839, num_transmissions=10626,
-            num_reselections=3001, cluster_se=0.0010605462363634062)
+            collided_fraction=0.26139199556336074, collided_se=0.00422434701476478,
+            reselection_collision=0.028123958680439855,
+            reselection_se=0.0013496639992735498, num_transmissions=10819,
+            num_reselections=3001, cluster_se=0.0013851069662368135)
     assert estimate_prr(aware, 3000, rng_seed=32, episodes=30) == PrrEstimate(
-        value=0.7291839557399723, std_error=0.004267180061083595,
-        num_transmissions=10845, num_reselections=3004,
-        cluster_se=0.011524431109573447)
+        value=0.7257419294818123, std_error=0.0043031529641054354,
+        num_transmissions=10749, num_reselections=3002,
+        cluster_se=0.01186823621100952)
 
 
 @pytest.mark.parametrize("keep", [0.0, 0.5, 0.8])
@@ -634,6 +682,21 @@ def test_sensing_episode_guard_matches_per_slot_reference(monkeypatch):
                                  sensing_window=5.0, numerology=0)
         cfg = SimConfig(sps=params, num_vehicles=num_vehicles, sensing=True)
         assert_matches_reference(monkeypatch, estimate_prr, cfg, 4, 5, episodes=2)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(sps=make_params(rc=(2, 5)), num_vehicles=3, windows=(2, 4, 6)),
+    SimConfig(sps=make_params(rri=0.02, n_sc=1, w=4, rc=(2, 5)), num_vehicles=6,
+              sensing=True),
+    SimConfig(sps=make_params(), num_vehicles=1, windows=(4,)),
+], ids=["blind", "sensing", "one-vehicle"])
+def test_estimate_reads_both_rows_from_one_tally(cfg):
+    # one simulation gives exactly what the two estimators give at one seed
+    assert estimate(cfg, 600, 9, episodes=6) == (
+        estimate_collision_prob(cfg, 600, 9, episodes=6),
+        estimate_prr(cfg, 600, 9, episodes=6))
+    with pytest.raises(ValueError):
+        estimate(cfg, 0, 9)
 
 
 def test_estimate_single_vehicle():
