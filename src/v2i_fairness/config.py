@@ -23,7 +23,7 @@ from .scenario import ScenarioConfig
 from .sps_analytics import SpsParams
 from .util import atomic_write_text
 
-ARTIFACT_VERSION = "0.5.0"   # kept in lockstep with the package version
+ARTIFACT_VERSION = "0.6.0"   # kept in lockstep with the package version
 
 # Experiment-level defaults.  Two values deviate from the module-level
 # dataclass defaults, deliberately:

@@ -134,6 +134,13 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _report_fallback(optimum: PointOptimum) -> None:
+    """Say on stdout when a point's threshold filter was empty."""
+    if not optimum.feasible:
+        print(f"avg_speed {_fmt(optimum.avg_speed)}: no individual met the "
+              f"threshold; reported the unfiltered sum-minimiser")
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -147,12 +154,14 @@ def run_fig4_sweep(config: ExperimentConfig,
     """Optimal window per lane across the speed sweep.
 
     CSV schema: ``avg_speed,lane,optimal_window`` with one row per
-    (sweep point, lane).
+    (sweep point, lane).  A point whose threshold filter was empty prints
+    one line saying so.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     rows: list[list] = []
     for index, avg_speed in enumerate(config.sweep):
         optimum = optimize_point(config, avg_speed, index)
+        _report_fallback(optimum)
         for lane, window in enumerate(optimum.windows):
             rows.append([_fmt(avg_speed), lane, window])
     return _write_csv(out / "fig4_optimal_windows.csv",
@@ -165,12 +174,14 @@ def run_fig5_comparison(config: ExperimentConfig,
 
     CSV schema: ``avg_speed,scheme,objective_sum`` with scheme in
     {``optimal``, ``standard``}.  Seeds match :func:`run_fig4_sweep`, so both
-    figures report the same optimized windows.
+    figures report the same optimized windows, and the same line for a
+    point whose threshold filter was empty.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     rows: list[list] = []
     for index, avg_speed in enumerate(config.sweep):
         optimum = optimize_point(config, avg_speed, index)
+        _report_fallback(optimum)
         speeds = config.lane_speeds_at(avg_speed)
         inputs = fairness_inputs(config, speeds)
         baseline = objective_batch(

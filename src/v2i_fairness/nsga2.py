@@ -5,16 +5,16 @@ objective array, row for row, from the first generation to the result.
 
 One generation: pair parents from a seeded shuffle, single-point crossover,
 per-gene uniform-redraw mutation, merge parents and offspring, fast
-non-dominated sort, crowding distance, then truncate to the population size.
+non-dominated sort of the fronts that can survive, crowding distance, then
+truncate to the population size.
 The merge makes the per-objective minima non-increasing across generations
 (elitism), which the metric trends in the experiments rely on.
 
-Each parent pair draws, in this order: `rng.random()` for crossover (only
-when N >= 2), `rng.integers(1, N)` for the cut (only when crossover fires),
-then `rng.random(N)` and `rng.integers(lb, ub + 1, N)` for the first child's
-mutation and the same two draws for the second child's.  The tail swaps and
-mutations are applied to the whole offspring array afterwards.  Keeping this
-per-pair order keeps the random stream, and so every output, unchanged.
+One generation takes its draws as four whole arrays, in this order:
+`rng.random(M/2)` crossover coins, `rng.integers(1, N, M/2)` cuts (only when
+N >= 2; a pair whose coin misses ignores its cut), `rng.random((M, N))`
+mutation flips and `rng.integers(lb, ub + 1, (M, N))` redraws.  So a
+generation makes the same few generator calls whatever M is.
 
 The final answer is not the whole front: among individuals whose every
 objective clears a threshold, the one with the smallest objective sum wins.
@@ -79,21 +79,19 @@ def offspring(parents: np.ndarray, crossover_rate: float, mutation_rate: float,
 
     Each pair exchanges the genes from a uniform cut onwards with probability
     `crossover_rate`; each child gene is then redrawn uniform in bounds with
-    probability `mutation_rate`.  Draws follow the module's per-pair order.
+    probability `mutation_rate`.  Coins, cuts, flips and redraws are drawn
+    as whole arrays in the module's order.
     """
     parents = np.asarray(parents)
     m, n = parents.shape
     lb, ub = bounds
     rng = as_rng(rng)
+    crosses = rng.random(m // 2) < crossover_rate
     cuts = np.full(m // 2, n)          # n: the pair does not cross
-    flips = np.empty((m, n), dtype=bool)
-    draws = np.empty((m, n), dtype=parents.dtype)
-    for pair in range(m // 2):
-        if n >= 2 and rng.random() < crossover_rate:
-            cuts[pair] = rng.integers(1, n)
-        for child in (2 * pair, 2 * pair + 1):
-            flips[child] = rng.random(n) < mutation_rate
-            draws[child] = rng.integers(lb, ub + 1, size=n)
+    if n >= 2:
+        cuts[crosses] = rng.integers(1, n, m // 2)[crosses]
+    flips = rng.random((m, n)) < mutation_rate
+    draws = rng.integers(lb, ub + 1, (m, n))
     tail = np.arange(n) >= cuts[:, None]
     first, second = parents[0::2], parents[1::2]
     children = np.empty_like(parents)
@@ -105,20 +103,29 @@ def offspring(parents: np.ndarray, crossover_rate: float, mutation_rate: float,
 # sorting and selection ------------------------------------------------------
 
 
-def non_dominated_sort(objectives: np.ndarray) -> list[np.ndarray]:
-    """Index fronts F1, F2, ... by Pareto dominance (minimisation)."""
+def non_dominated_sort(objectives: np.ndarray,
+                       size: int | None = None) -> list[np.ndarray]:
+    """Index fronts F1, F2, ... by Pareto dominance (minimisation).
+
+    With `size`, peeling stops once the fronts found hold at least `size`
+    rows: the result is the shortest prefix of the full partition that
+    covers `size` rows.
+    """
     obj = np.asarray(objectives, dtype=float)
     if obj.ndim != 2 or obj.size == 0:
         raise ValueError(f"expected non-empty (M, N) objectives, got {obj.shape}")
     if not np.all(np.isfinite(obj)):
         raise ValueError("objectives contain non-finite values")
+    goal = len(obj) if size is None else min(size, len(obj))
     dominates = dominance_matrix(obj)          # [i, j]: i dominates j
     remaining = dominates.sum(axis=0)          # dominators not yet in a front
     fronts: list[np.ndarray] = []
     assigned = np.zeros(len(obj), dtype=bool)
-    while not assigned.all():
+    ranked = 0
+    while ranked < goal:
         current = np.flatnonzero((remaining == 0) & ~assigned)
         fronts.append(current)
+        ranked += len(current)
         assigned[current] = True
         remaining = remaining - dominates[current].sum(axis=0)
     return fronts
@@ -153,16 +160,16 @@ def select_survivors(genomes: np.ndarray, objectives: np.ndarray,
     if len(genomes) != len(objectives):
         raise ValueError(f"{len(genomes)} genomes but {len(objectives)} "
                          f"objective rows")
-    if len(genomes) < size:
+    if not 1 <= size <= len(genomes):
         raise ValueError(f"cannot select {size} from {len(genomes)}")
-    rank = np.empty(len(genomes), dtype=int)
-    crowding = np.empty(len(genomes))
-    for r, front in enumerate(non_dominated_sort(objectives)):
-        rank[front] = r
-        crowding[front] = crowding_distance(objectives[front])
+    # fronts past the first `size` rows never survive (Deb et al. 2002)
+    fronts = non_dominated_sort(objectives, size)
+    ranked = np.concatenate(fronts)
+    rank = np.repeat(np.arange(len(fronts)), [len(f) for f in fronts])
+    crowding = np.concatenate([crowding_distance(objectives[f]) for f in fronts])
     # np.lexsort sorts by its last key first and is stable
-    order = np.lexsort((*genomes.T[::-1], -crowding, rank))
-    return order[:size]
+    order = np.lexsort((*genomes[ranked].T[::-1], -crowding, rank))
+    return ranked[order[:size]]
 
 
 # the driver -----------------------------------------------------------------
@@ -196,11 +203,12 @@ def run(config: GAConfig, bounds: Bounds, num_genes: int,
     (m, N) objectives and must be deterministic; it sees the initial
     population once and then each generation's offspring.  One seeded
     stream draws the initial genomes, then per generation `permutation(M)`
-    and the per-pair draws of :func:`offspring` (crossover, cut, then each
-    child's flips and redraws).  Given a `reference_front`, every
-    generation's first front is scored into `history` against it and the
-    HV reference point of the initial objectives (`MetricContext.from_initial`);
-    without one, no per-generation work beyond the GA itself is done.
+    and the array draws of :func:`offspring` (coins, cuts, flips, redraws):
+    the same number of generator calls whatever M is.  Given a
+    `reference_front`, every generation's first front is scored into
+    `history` against it and the HV reference point of the initial
+    objectives (`MetricContext.from_initial`); without one, no
+    per-generation work beyond the GA itself is done.
     """
     def score(genomes: np.ndarray) -> np.ndarray:
         values = np.asarray(evaluator(genomes), dtype=float)

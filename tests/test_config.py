@@ -166,6 +166,15 @@ def test_0_4_0_manifest_still_loads(tmp_path):
     assert load_config(path) == config
 
 
+def test_0_5_0_manifest_still_loads(tmp_path):
+    # 0.6.0 changed the GA's random stream but no configuration key
+    config = ExperimentConfig(seed=4)
+    doc = {"artifact_version": "0.5.0", "seed": 4,
+           "config": effective_dict(config)}
+    path = write_yaml(tmp_path, doc, name="manifest.yaml")
+    assert load_config(path) == config
+
+
 def test_0_2_0_manifest_with_removed_keys_is_rejected(tmp_path):
     # 0.2.0 manifests list the scenario/channel keys that 0.3.0 removed
     config = effective_dict(ExperimentConfig())

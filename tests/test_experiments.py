@@ -139,6 +139,22 @@ def test_fig4_failure_names_the_sweep_point(tmp_path, monkeypatch):
         run_fig4_sweep(tiny_config(), tmp_path)
 
 
+@pytest.mark.parametrize("runner", [run_fig4_sweep, run_fig5_comparison])
+def test_empty_threshold_filter_is_reported_per_point(runner, tmp_path, capsys):
+    config = tiny_config(sweep=(24.0, 26.0))
+    runner(config, tmp_path / "kept")
+    assert capsys.readouterr().out == ""
+    empty = tiny_config(sweep=(24.0, 26.0),
+                        ga=replace(config.ga, threshold=1e-12))
+    assert not any(optimize_point(empty, v, i).feasible
+                   for i, v in enumerate(empty.sweep))
+    path = runner(empty, tmp_path / "empty")
+    assert capsys.readouterr().out.splitlines() == [
+        f"avg_speed {v}: no individual met the threshold; reported the "
+        f"unfiltered sum-minimiser" for v in ("24", "26")]
+    assert len(read_csv(path)) == 4
+
+
 def test_fig5_schema_and_schemes(tmp_path):
     path = run_fig5_comparison(tiny_config(), tmp_path)
     rows = read_csv(path)
@@ -173,21 +189,21 @@ def test_fig3_emits_both_csvs(tmp_path):
     assert len(history) == config.ga.max_generations
 
 
-# Recorded with the row-by-row `nondominated` and the (n, n, d) sort that the
-# dominance matrix replaced; the optimizer must reach the same answers.
-PINNED_WINDOWS = [(14, 14, 11, 8), (14, 14, 15, 12), (15, 9, 10, 1),
-                  (13, 13, 10, 7), (12, 10, 9, 6)]
-PINNED_SUMS = [0.014585455200338618, 0.017753480297210286, 0.012210444247884075,
-               0.011033982240116008, 0.016624557743965013]
-PINNED_HV = [3.504112961126197e-07, 3.8416505289008057e-07,
-             4.5387352217294977e-07, 4.5646481931039984e-07,
-             4.6223542290902406e-07]
-# against the exact grid front; the HV above shows the run itself is untouched
-PINNED_GD = [0.0016392373175128604, 0.001570415341049391, 0.0015023394286199775,
-             0.001065083596138657, 0.0011844788655749191]
-PINNED_IGD = [0.0005044688562282063, 0.0004116971262115889,
-              0.00039563661673491275, 0.0003680340293172607,
-              0.0004088716988094529]
+# Recorded at artifact version 0.6.0; the optimizer must keep reaching
+# these answers.
+PINNED_WINDOWS = [(15, 12, 9, 8), (15, 12, 11, 6), (14, 11, 8, 3),
+                  (15, 11, 10, 8), (12, 12, 8, 7)]
+PINNED_SUMS = [0.008293492471337302, 0.013533959906351173, 0.011510911499377025,
+               0.006709792673384965, 0.01222997267691349]
+PINNED_HV = [3.826789616560506e-07, 4.155391985127007e-07,
+             4.195405288850924e-07, 4.0735321435204475e-07,
+             4.22158590896382e-07]
+# against the exact grid front
+PINNED_GD = [0.0014063074231971796, 0.0011251357745001877, 0.001122202377624254,
+             0.0012450895304385284, 0.0011927943039196102]
+PINNED_IGD = [0.0004201292860178554, 0.0003775584953049776,
+              0.0003823154217879238, 0.0004086144140281611,
+              0.0003931058065402262]
 
 
 def test_small_config_results_are_pinned(tmp_path, monkeypatch):

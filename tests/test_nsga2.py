@@ -78,26 +78,51 @@ def brute_force_pick(genomes, objectives, threshold):
 
 
 def reference_offspring(parents, crossover_rate, mutation_rate, bounds, rng):
-    """The per-pair crossover/mutate tuple loop that ``offspring`` replaced."""
-    lb, ub = bounds
+    """Per-pair crossover/mutate tuple loop over ``offspring``'s four arrays.
 
-    def crossover(parent_a, parent_b):
-        if len(parent_a) >= 2 and rng.random() < crossover_rate:
-            cut = int(rng.integers(1, len(parent_a)))
+    The arrays are drawn in the module's order (coins, cuts only when N >= 2,
+    flips, redraws); the loop then reads them pair by pair and gene by gene.
+    """
+    lb, ub = bounds
+    m, n = len(parents), len(parents[0])
+    coins = rng.random(m // 2)
+    cuts = rng.integers(1, n, m // 2) if n >= 2 else None
+    flips = rng.random((m, n))
+    draws = rng.integers(lb, ub + 1, (m, n))
+
+    def crossover(pair, parent_a, parent_b):
+        if n >= 2 and coins[pair] < crossover_rate:
+            cut = int(cuts[pair])
             return (parent_a[:cut] + parent_b[cut:], parent_b[:cut] + parent_a[cut:])
         return parent_a, parent_b
 
-    def mutate(genome):
-        flips = rng.random(len(genome)) < mutation_rate
-        draws = rng.integers(lb, ub + 1, size=len(genome))
-        return tuple(int(d) if hit else g for g, hit, d in zip(genome, flips, draws))
+    def mutate(row, genome):
+        return tuple(int(draws[row][k]) if flips[row][k] < mutation_rate else g
+                     for k, g in enumerate(genome))
 
     children = []
-    for k in range(0, len(parents), 2):
-        child_a, child_b = crossover(tuple(int(g) for g in parents[k]),
+    for k in range(0, m, 2):
+        child_a, child_b = crossover(k // 2, tuple(int(g) for g in parents[k]),
                                      tuple(int(g) for g in parents[k + 1]))
-        children += [mutate(child_a), mutate(child_b)]
+        children += [mutate(k, child_a), mutate(k + 1, child_b)]
     return children
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def toy_evaluator(genomes: np.ndarray) -> np.ndarray:
@@ -171,7 +196,8 @@ def test_initialize_rejects_bad_bounds():
 @pytest.mark.parametrize("crossover_rate", [0.0, 0.9, 1.0])
 def test_offspring_matches_per_pair_reference(crossover_rate, mutation_rate,
                                               bounds, num_genes):
-    """Same children and the same random stream as the per-pair tuple loop."""
+    """Same children and the same random stream as the per-pair tuple loop
+    fed the same arrays."""
     for seed in range(3):
         parents = np.random.default_rng(100 + seed).integers(
             bounds[0], bounds[1] + 1, size=(40, num_genes))
@@ -181,6 +207,24 @@ def test_offspring_matches_per_pair_reference(crossover_rate, mutation_rate,
                                    bounds, ref_rng)
         assert [tuple(row) for row in got.tolist()] == want
         assert rng.random() == ref_rng.random()   # stream left in the same state
+
+
+@pytest.mark.parametrize("num_genes", [1, 4])
+def test_a_generation_makes_a_fixed_number_of_generator_calls(monkeypatch,
+                                                              num_genes):
+    """One permutation plus offspring's array draws, whatever M is."""
+    per_generation = []
+    for population_size in (4, 20, 300):
+        calls = []
+        for generations in (1, 3):
+            rng = CountingGenerator(0)
+            monkeypatch.setattr(nsga2, "as_rng", lambda seed: rng)
+            run(GAConfig(population_size=population_size,
+                         max_generations=generations),
+                (0, 15), num_genes, toy_evaluator)
+            calls.append(rng.calls)
+        per_generation.append((calls[1] - calls[0]) / 2)
+    assert per_generation == [5 if num_genes >= 2 else 4] * 3
 
 
 def test_crossover_rate_zero_copies():
@@ -287,6 +331,20 @@ def test_sort_matches_brute_force_in_index_order_with_ties(dim, seed):
     assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_sort_with_size_is_the_shortest_covering_prefix(seed):
+    rng = np.random.default_rng(seed)
+    random_objs = rng.uniform(0, 1, size=(60, 3))
+    tied = rng.integers(0, 4, size=(60, 2)).astype(float)
+    for objs in (random_objs, tied):
+        full = non_dominated_sort(objs)
+        covered = np.cumsum([len(f) for f in full])
+        for size in (1, len(full[0]), len(full[0]) + 1, 30, len(objs)):
+            shortest = int(np.searchsorted(covered, size)) + 1
+            assert ([f.tolist() for f in non_dominated_sort(objs, size)]
+                    == [f.tolist() for f in full[:shortest]])
+
+
 def test_sort_single_row_and_all_equal_rows():
     assert [f.tolist() for f in non_dominated_sort(np.array([[1.0, 2.0]]))] == [[0]]
     fronts = non_dominated_sort(np.full((6, 4), 3.0))
@@ -354,6 +412,8 @@ def test_select_survivors_single_slot():
 def test_select_survivors_rejects_undersized():
     with pytest.raises(ValueError):
         select_survivors(*make_population([[1.0, 1.0]]), 2)
+    with pytest.raises(ValueError, match="cannot select 0"):
+        select_survivors(*make_population([[1.0, 1.0]]), 0)
 
 
 def test_select_survivors_rejects_mismatched_rows():
