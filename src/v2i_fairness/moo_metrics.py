@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NONDOMINATED_BLOCK = 256   # rows per scan block of `nondominated`
+NONDOMINATED_BLOCK = 256   # rows per scan block of `front_rows`
 
 
 def _as_points(front) -> np.ndarray:
@@ -58,17 +58,16 @@ def dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _all_le(a, b) & ~_all_le(b, a).T
 
 
-def nondominated(points: np.ndarray) -> np.ndarray:
-    """Distinct rows of `points` that no other row dominates, sorted by row.
+def front_rows(points: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows that no row dominates; duplicates stay.
 
-    Sort-then-scan (Kung, Luccio & Preparata 1975): stable-sorted on the row
-    sum, a row can only be dominated by rows before it (a dominator's sum is
-    no larger, and on a tie it comes first in row order).  So each block of
-    the sorted rows is checked against the front found so far and then
-    against itself, and temporaries stay (front, block) rather than (n, n).
+    Sort-then-scan (Kung, Luccio & Preparata 1975): sorted on the row sum,
+    then the columns, a row's dominators all come before it (their float sum
+    is no larger; on a tie their columns sort first).  Each sorted block is
+    checked against the front so far, then itself: no (n, n) temporaries.
     """
-    pts = np.unique(_as_points(points), axis=0)
-    order = np.argsort(pts.sum(axis=1), kind="stable")
+    pts = np.asarray(points, dtype=float)
+    order = np.lexsort((*pts.T[::-1], pts.sum(axis=1)))
     front = np.empty(0, dtype=int)
     for start in range(0, len(order), NONDOMINATED_BLOCK):
         chunk = order[start:start + NONDOMINATED_BLOCK]
@@ -76,7 +75,13 @@ def nondominated(points: np.ndarray) -> np.ndarray:
             chunk = chunk[~dominates(pts[front], pts[chunk]).any(axis=0)]
         chunk = chunk[~dominance_matrix(pts[chunk]).any(axis=0)]
         front = np.concatenate([front, chunk])
-    return pts[np.sort(front)]
+    return np.sort(front)
+
+
+def nondominated(points: np.ndarray) -> np.ndarray:
+    """Distinct rows of `points` that no other row dominates, sorted by row."""
+    pts = np.unique(_as_points(points), axis=0)
+    return pts[front_rows(pts)]
 
 
 def hypervolume(front, reference_point) -> float:

@@ -4,9 +4,9 @@ The population is an (M, N) integer genome array beside an (M, N) float
 objective array, row for row, from the first generation to the result.
 
 One generation: pair parents from a seeded shuffle, single-point crossover,
-per-gene uniform-redraw mutation, merge parents and offspring, fast
-non-dominated sort of the fronts that can survive, crowding distance, then
-truncate to the population size.
+per-gene uniform-redraw mutation, merge parents and offspring, peel the
+fronts that can survive with `moo_metrics.front_rows` (the front metrics'
+sort-then-scan), crowding distance, then truncate to the population size.
 The merge makes the per-objective minima non-increasing across generations
 (elitism), which the metric trends in the experiments rely on.
 
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .moo_metrics import MetricContext, dominance_matrix
+from .moo_metrics import MetricContext, front_rows
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -107,9 +107,9 @@ def non_dominated_sort(objectives: np.ndarray,
                        size: int | None = None) -> list[np.ndarray]:
     """Index fronts F1, F2, ... by Pareto dominance (minimisation).
 
+    Each front is `front_rows` of the rows not yet ranked, in index order.
     With `size`, peeling stops once the fronts found hold at least `size`
-    rows: the result is the shortest prefix of the full partition that
-    covers `size` rows.
+    rows: the shortest prefix of the full partition that covers `size` rows.
     """
     obj = np.asarray(objectives, dtype=float)
     if obj.ndim != 2 or obj.size == 0:
@@ -117,17 +117,12 @@ def non_dominated_sort(objectives: np.ndarray,
     if not np.all(np.isfinite(obj)):
         raise ValueError("objectives contain non-finite values")
     goal = len(obj) if size is None else min(size, len(obj))
-    dominates = dominance_matrix(obj)          # [i, j]: i dominates j
-    remaining = dominates.sum(axis=0)          # dominators not yet in a front
+    rest = np.arange(len(obj))                 # rows not yet in a front
     fronts: list[np.ndarray] = []
-    assigned = np.zeros(len(obj), dtype=bool)
-    ranked = 0
-    while ranked < goal:
-        current = np.flatnonzero((remaining == 0) & ~assigned)
-        fronts.append(current)
-        ranked += len(current)
-        assigned[current] = True
-        remaining = remaining - dominates[current].sum(axis=0)
+    while len(obj) - len(rest) < goal:
+        current = front_rows(obj[rest])
+        fronts.append(rest[current])
+        rest = np.delete(rest, current)
     return fronts
 
 

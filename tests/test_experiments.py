@@ -228,6 +228,28 @@ def test_small_config_results_are_pinned(tmp_path, monkeypatch):
                                rtol=1e-12, atol=0)
 
 
+# Recorded at artifact version 0.6.0 before NSGA-II and the front metrics
+# shared one sort-then-scan kernel: a 600-row merge crosses a scan block,
+# which the population-20 pins above never reach.
+PINNED_DIGESTS_300 = {
+    "fig4_optimal_windows.csv":
+        "dc2b53829c6f217d97224196c4cff7440f8d9fb48065d347a63bcd6ca81d3690",
+    "fig5_objective_sums.csv":
+        "c761e36641135a2e6996c3aa65695bb1126c8395e3d0598acbf37f3012cd2b73",
+    "fig3_metrics.csv":
+        "3ef0e9f528695116949f2096da085627287bd1fbd586e51de479f580df5ad043",
+}
+
+
+def test_population_300_csv_bytes_are_pinned(tmp_path):
+    config = ExperimentConfig(
+        ga=replace(DEFAULT_GA, population_size=300, max_generations=8), seed=1)
+    paths = [verb(config, tmp_path) for verb in
+             (run_fig4_sweep, run_fig5_comparison, run_fig3_metrics)]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths} == PINNED_DIGESTS_300
+
+
 @pytest.mark.parametrize("lanes, stride", [(3, 31), (3, 10**6), (4, 31)])
 def test_exact_front_matches_loop_over_the_whole_grid(lanes, stride, monkeypatch):
     """Exact whatever the sample (a stride past the grid samples one row),

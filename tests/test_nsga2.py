@@ -331,6 +331,21 @@ def test_sort_matches_brute_force_in_index_order_with_ties(dim, seed):
     assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
 
 
+@pytest.mark.parametrize("objs", [
+    *(np.random.default_rng(rows).integers(0, 10, size=(rows, 4)).astype(float)
+      for rows in (300, 600)),
+    # the float sums tie (1e16 + 1 rounds to 1e16); the dominator comes last
+    np.array([[1e16, 1.0]] * 299 + [[1e16, 0.0]]),
+], ids=["int-300", "int-600", "float-sum-tie"])
+def test_sort_matches_brute_force_in_index_order_across_scan_blocks(objs):
+    """Above `moo_metrics.NONDOMINATED_BLOCK` rows the scan spans blocks;
+    600 rows is the merge of a default population."""
+    assert len(objs) > moo_metrics.NONDOMINATED_BLOCK
+    fronts = non_dominated_sort(objs)
+    expected = brute_force_fronts([tuple(row) for row in objs])
+    assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_sort_with_size_is_the_shortest_covering_prefix(seed):
     rng = np.random.default_rng(seed)
