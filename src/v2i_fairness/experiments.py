@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .moo_metrics import dominates, nondominated
+from .moo_metrics import nondominated, weakly_dominates
 from .nsga2 import pick_optimum, run, write_history
 from .sps_analytics import (
     FairnessInputs,
@@ -36,27 +36,28 @@ _FIG3_STREAM = 500
 _ORACLE_STREAM = 1000
 
 # fig3 scores window grids up to this many vectors for its exact reference
-# front; above it the front of a 5x-longer GA run stands in.  The cap sits
-# below where the two costs cross at the default GA (300 x 100 generations),
-# CPU s on a 2-vCPU Xeon host:
+# front; above it the front of a 5x-longer run stands in.  CPU s at the
+# default GA (300 x 100 generations) on a 2-vCPU Xeon host:
 #   lanes  grid vectors   exact_front   5x run (500 generations)
-#     4        390,625        1.3          4.8
-#     5        371,293        2.5          5.3
-#     5      1,048,576        7.1          5.3
-#     6        262,144        4.0          5.6
-#     6        531,441       11.5          5.6
-# The 5x run's peak RSS is about 8 MiB over the imports, exact_front's 6.9
-# MiB at 6 lanes x 2^18 and 19.5 MiB at 6 lanes x 12^6.  A shorter GA makes
-# the 5x run cheaper (0.4 s at 8 generations) but its front further from
-# the true one.
+#     4        390,625        0.44         1.0
+#     5        371,293        0.90         1.5
+#     5      1,048,576        3.2          1.2
+#     6        262,144        1.8          1.4
+#     6        531,441        4.3          1.7
+# The cap was set where the two costs crossed when a 5x run took about 5 s;
+# the GA has since become 3-5x cheaper, so at 6 lanes the exact front
+# now costs up to 1.3x the proxy's time below the cap.  The 5x run's peak
+# RSS is about 7 MiB over the imports, exact_front's 6.9 MiB at 6 lanes x
+# 2^18 and 18.7 MiB at 6 lanes x 12^6.  A shorter GA makes the 5x run
+# cheaper still but its front further from the true one.
 EXACT_GRID_CAP = 2 ** 18
 # grid rows per evaluator call: one call on the whole default grid (16^4)
-# peaks near 86 MiB, against about 42 MiB for all of fig3
+# peaks near 47 MiB, against about 40 MiB for all of fig3
 _GRID_CHUNK = 1024
 # every 31st grid row seeds exact_front's filter.  Without it (every chunk
-# kept, one `nondominated` call on the whole grid) the 16^4 front costs 0.30
-# CPU s and 6.8 MiB over the imports, against 0.15 s and 1.9 MiB with it;
-# 16^5 costs 16.1 s and 125 MiB, against 7.1 s and 5.4 MiB
+# kept, one `nondominated` call on the whole grid) the 16^4 front costs 0.23
+# CPU s and 7.8 MiB over the imports, against 0.06 s and 1.9 MiB with it;
+# 16^5 costs 17.0 s and 125 MiB, against 3.2 s and 6.1 MiB
 _SAMPLE_STRIDE = 31
 
 
@@ -212,10 +213,11 @@ def exact_front(evaluator, bounds: tuple[int, int], num_genes: int) -> np.ndarra
     """Pareto front of `evaluator` over every window vector within `bounds`.
 
     The front of a strided sample of the grid is the filter.  The grid is
-    then walked in chunks, keeping the rows no filter point dominates, and
-    `nondominated` of the filter plus those survivors is the answer.  That
-    is exact whatever the sample: no grid point dominates a point of the
-    grid's front, so every front point survives the filter.
+    then walked in chunks, keeping the rows no filter point weakly
+    dominates, and `nondominated` of the filter plus those survivors is the
+    answer.  That is exact whatever the sample: a grid point weakly
+    dominated by a filter point is either dominated or equal to that point,
+    which the filter already holds (Kung, Luccio & Preparata 1975).
     """
     size = (bounds[1] - bounds[0] + 1) ** num_genes
     sample = np.concatenate(list(_scored_grid(
@@ -223,7 +225,7 @@ def exact_front(evaluator, bounds: tuple[int, int], num_genes: int) -> np.ndarra
     filt = nondominated(sample)
     survivors = [filt]
     for objectives in _scored_grid(evaluator, range(size), bounds, num_genes):
-        survivors.append(objectives[~dominates(filt, objectives).any(axis=0)])
+        survivors.append(objectives[~weakly_dominates(filt, objectives).any(axis=0)])
     return nondominated(np.concatenate(survivors))
 
 

@@ -29,10 +29,10 @@ def _as_points(front) -> np.ndarray:
     return pts
 
 
-def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) booleans: [i, j] is True when row i of `a` is <= row
-    j of `b` in every objective.  Built one objective at a time, so only
-    (len(a), len(b)) arrays are allocated."""
+    j of `b` in every objective (minimisation), equal rows included.  Built
+    one objective at a time, so only (len(a), len(b)) arrays are allocated."""
     le = np.less_equal.outer(a[:, 0], b[:, 0])
     for k in range(1, a.shape[1]):
         le &= np.less_equal.outer(a[:, k], b[:, k])
@@ -47,7 +47,7 @@ def dominance_matrix(points: np.ndarray) -> np.ndarray:
     finite.
     """
     pts = np.asarray(points, dtype=float)
-    le = _all_le(pts, pts)
+    le = weakly_dominates(pts, pts)
     return le & ~le.T
 
 
@@ -55,7 +55,7 @@ def dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) booleans: [i, j] is True when row i of `a` dominates
     row j of `b` (minimisation): no worse in every objective and not equal
     in all."""
-    return _all_le(a, b) & ~_all_le(b, a).T
+    return weakly_dominates(a, b) & ~weakly_dominates(b, a).T
 
 
 def front_rows(points: np.ndarray) -> np.ndarray:

@@ -119,8 +119,9 @@ class SpsParams:
 
 # Eq.-level operations -------------------------------------------------------
 #
-# Windows may be scalars or broadcastable arrays throughout; the optimiser
-# passes (M, N, 1) against (M, 1, N) to score every pair of M window vectors.
+# Windows may be scalars or broadcastable arrays throughout, and every domain
+# check covers every element.  `FairnessInputs` evaluates the chain once over
+# the window bounds, (W, 1) against (1, W), and the optimiser reads that table.
 
 
 def overlap_probability(w_i, w_j, numerology: int, rri: float):
@@ -266,37 +267,56 @@ class FairnessInputs:
         rsu = np.asarray(self.rsu_position, dtype=float)
         return spectral_efficiency(self.channel, float(np.linalg.norm(mid_pass - rsu)))
 
+    @cached_property
+    def survival(self) -> np.ndarray:
+        """(W, W) read-only: 1 - delta_col(w_LB + a, w_LB + b).  Building it
+        checks the model's domain at every in-bounds pair."""
+        w_lb, w_ub = self.sps.window_bounds
+        w = np.arange(w_lb, w_ub + 1, dtype=float)
+        table = 1.0 - collision_probability(self.sps, w[:, None], w[None, :])
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def network(self) -> np.ndarray:
+        """(N (W - 1) + 1,) read-only: K_index at window sum N w_LB + s, whose
+        mean window (N w_LB + s) / N is what `np.mean` gives for that sum."""
+        n = self.num_vehicles
+        w_lb, w_ub = self.sps.window_bounds
+        w_bar = np.arange(n * w_lb, n * w_ub + 1, dtype=float) / n
+        delta = collision_probability(self.sps, w_bar, w_bar)
+        table = self.kappa * (1.0 - delta) ** (n - 1) / self.mean_speed
+        table.setflags(write=False)
+        return table
+
 
 def fairness_indices(windows, inputs: FairnessInputs):
-    """K_index and K_index^i for M window vectors; (M, N) -> ((M,), (M, N)).
+    """K_index and K_index^i for M integer window vectors; (M, N) -> ((M,), (M, N)).
 
     K_index^i is the link rate kappa times vehicle i's survival product over
     the other vehicles, per unit speed; K_index is the same index evaluated
     at the network's mean speed and mean window.  Every lane shares the one
-    kappa, so channel and geometry scale both indices alike.
+    kappa, so channel and geometry scale both indices alike.  Both are
+    gathered from the `survival` and `network` tables of `inputs`.
     """
     windows = np.asarray(windows)
     n = inputs.num_vehicles
     if windows.ndim != 2 or windows.shape[1] != n:
         raise ValueError(f"expected (M, {n}) windows, got {windows.shape}")
+    if not np.issubdtype(windows.dtype, np.integer):
+        raise ValueError(f"windows must be integers, got dtype {windows.dtype}")
     w_lb, w_ub = inputs.sps.window_bounds
     if (windows < w_lb).any() or (windows > w_ub).any():
         raise ValueError(f"some window outside [{w_lb}, {w_ub}]")
-    w = windows.astype(float)
+    at = windows - w_lb
 
-    speeds = np.asarray(inputs.speeds, dtype=float)
-    kappa = inputs.kappa
-    delta = collision_probability(inputs.sps, w[:, :, None], w[:, None, :])
-    off_diag = 1.0 - delta                                  # (M, N, N)
+    # fancy indexing copies, so the diagonal is set on (M, N, N), not the table
+    off_diag = inputs.survival[at[:, :, None], at[:, None, :]]
     idx = np.arange(n)
     off_diag[:, idx, idx] = 1.0
-    k_i = kappa * off_diag.prod(axis=-1) / speeds
-
-    v_bar = inputs.mean_speed
-    w_bar = w.mean(axis=1)                                  # (M,)
-    delta_net = collision_probability(inputs.sps, w_bar, w_bar)
-    k_net = kappa * (1.0 - delta_net) ** (n - 1) / v_bar
-    return k_net, k_i
+    speeds = np.asarray(inputs.speeds, dtype=float)
+    k_i = inputs.kappa * off_diag.prod(axis=-1) / speeds
+    return inputs.network[at.sum(axis=1)], k_i
 
 
 def objective_batch(windows, inputs: FairnessInputs) -> np.ndarray:

@@ -116,6 +116,18 @@ def test_oracle_rejects_budget_below_one_before_writing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_fig4_outside_the_model_domain_exits_1_naming_the_span(tmp_path, capsys):
+    """20 slots per RRI cannot hold two windows of 15; the objective's
+    tables check every in-bounds pair before the GA starts."""
+    path = tmp_path / "short_rri.yaml"
+    path.write_text("sps:\n  rri: 0.02\n", encoding="utf-8")
+    assert main(["fig4", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload == {
+        "error": "ModelDomainError",
+        "message": "combined window span 31.0 exceeds the 20-slot reservation period"}
+
+
 def test_unknown_verb_raises_system_exit():
     with pytest.raises(SystemExit):
         main(["plot-everything"])

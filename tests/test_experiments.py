@@ -273,6 +273,30 @@ def test_exact_front_matches_loop_over_the_whole_grid(lanes, stride, monkeypatch
     assert sum(calls) == 8 ** lanes + len(range(0, 8 ** lanes, stride))
 
 
+@pytest.mark.parametrize("stride", [31, 10**6])
+def test_exact_front_keeps_tied_rows_once(stride, monkeypatch):
+    """Coarsened to a few integer levels, objective rows tie across window
+    vectors, so front rows repeat over the grid and filter points equal
+    later chunk rows, which the weak-dominance filter drops."""
+    monkeypatch.setattr(experiments, "_SAMPLE_STRIDE", stride)
+    speeds = (22.0, 24.0, 26.0, 28.0)
+    config = tiny_config(
+        scenario=ScenarioConfig(lane_speeds=speeds),
+        sps=replace(DEFAULT_SPS, window_bounds=(0, 7), selection_window=7))
+    inputs = fairness_inputs(config, speeds)
+
+    def evaluator(genomes):
+        return np.floor(np.sqrt(objective_batch(genomes, inputs) / 0.06) * 12)
+
+    grid_objectives = evaluator(window_grid((0, 7), 4))
+    expected = loop_nondominated(grid_objectives)
+    # a front row sampled at stride 31 recurs in a later chunk
+    assert any((grid_objectives[::31] == row).all(axis=1).any()
+               and (grid_objectives == row).all(axis=1).sum() > 1
+               for row in expected)
+    np.testing.assert_array_equal(exact_front(evaluator, (0, 7), 4), expected)
+
+
 def test_fig3_reference_is_the_exact_front(tmp_path, monkeypatch, capsys):
     config = tiny_config()
     fronts = []

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import window_grid
 from v2i_fairness.channel import ChannelParams
 from v2i_fairness.errors import ConfigError, ModelDomainError
 from v2i_fairness.scenario import ScenarioConfig
 from v2i_fairness.sps_analytics import (
+    COLLISION_MODELS,
     FairnessInputs,
     SpsParams,
     collision_factors,
@@ -489,6 +491,81 @@ def test_objective_batch_matches_scalar_path():
         vec = objective_batch(batch, fi)
         scal = np.array([objective_ref(row, fi) for row in batch])
         np.testing.assert_allclose(vec, scal, rtol=1e-12, atol=1e-16)
+
+
+def reference_fairness_indices(windows, inputs: FairnessInputs):
+    """The broadcast chain `fairness_indices` ran before its tables: the
+    whole collision chain on (M, N, N) float windows at every call."""
+    w = np.asarray(windows).astype(float)
+    n = inputs.num_vehicles
+    off_diag = 1.0 - collision_probability(inputs.sps, w[:, :, None], w[:, None, :])
+    idx = np.arange(n)
+    off_diag[:, idx, idx] = 1.0
+    k_i = inputs.kappa * off_diag.prod(axis=-1) / np.asarray(inputs.speeds, dtype=float)
+    w_bar = w.mean(axis=1)
+    delta_net = collision_probability(inputs.sps, w_bar, w_bar)
+    k_net = inputs.kappa * (1.0 - delta_net) ** (n - 1) / inputs.mean_speed
+    return k_net, k_i
+
+
+def assert_tables_match_the_chain(windows, inputs: FairnessInputs):
+    k_net, k_i = reference_fairness_indices(windows, inputs)
+    got_net, got_i = fairness_indices(windows, inputs)
+    assert got_net.tobytes() == k_net.tobytes()
+    assert got_i.tobytes() == k_i.tobytes()
+    assert (objective_batch(windows, inputs).tobytes()
+            == np.abs(k_net[:, None] - k_i).tobytes())
+
+
+@pytest.mark.parametrize("model", COLLISION_MODELS)
+@pytest.mark.parametrize("speeds", [(22.0, 24.0, 26.0, 28.0),
+                                    (20.0, 30.0, 25.0, 21.5)])
+def test_objective_batch_is_the_broadcast_chain_bit_for_bit(model, speeds):
+    fi = FairnessInputs(channel=ChannelParams(),
+                        sps=SpsParams(collision_model=model), speeds=speeds,
+                        **GEOMETRY)
+    assert_tables_match_the_chain(window_grid((0, 15), 4), fi)
+
+
+@pytest.mark.parametrize("speeds, bounds", [((25.0,), (0, 15)),
+                                            ((21.0, 25.0, 29.0), (3, 12)),
+                                            ((20.0, 22.5, 25.0, 27.5, 30.0), (2, 7))])
+@pytest.mark.parametrize("model", COLLISION_MODELS)
+def test_tables_match_the_chain_off_the_default_grid(speeds, bounds, model):
+    fi = FairnessInputs(channel=ChannelParams(),
+                        sps=SpsParams(collision_model=model, window_bounds=bounds,
+                                      selection_window=bounds[1]),
+                        speeds=speeds, **GEOMETRY)
+    assert_tables_match_the_chain(window_grid(bounds, len(speeds)), fi)
+
+
+def test_tables_are_read_only_and_scoring_leaves_them_unchanged():
+    fi = four_lane_inputs()
+    survival, network = fi.survival.copy(), fi.network.copy()
+    objective_batch(window_grid((0, 15), 4)[::97], fi)
+    assert not fi.survival.flags.writeable and not fi.network.flags.writeable
+    assert fi.survival.tobytes() == survival.tobytes()
+    assert fi.network.tobytes() == network.tobytes()
+    assert fi.survival.shape == (16, 16) and fi.network.shape == (61,)
+    assert np.all(np.diag(fi.survival) < 1.0)
+
+
+@pytest.mark.parametrize("windows", [[[8.5, 8.0]], np.array([[8.0, 8.0]])])
+def test_fairness_indices_rejects_non_integer_windows(windows):
+    fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(),
+                        speeds=(24.0, 26.0), **GEOMETRY)
+    with pytest.raises(ValueError, match="integers"):
+        fairness_indices(windows, fi)
+
+
+def test_any_in_bounds_pair_outside_the_model_domain_fails_the_first_call():
+    """20 slots per RRI hold windows up to a combined span of 20; bounds
+    [0, 15] allow 31, so even an in-domain vector fails when the table is
+    built."""
+    fi = FairnessInputs(channel=ChannelParams(), sps=SpsParams(rri=0.02),
+                        speeds=(24.0, 26.0), **GEOMETRY)
+    with pytest.raises(ModelDomainError, match="span 31.0 exceeds the 20-slot"):
+        fairness_indices([(3, 3)], fi)
 
 
 def test_objective_batch_shape_validation():
