@@ -37,16 +37,16 @@ _ORACLE_STREAM = 1000
 
 # fig3 scores window grids up to this many vectors for its exact reference
 # front; above it the front of a 5x-longer run stands in.  CPU s at the
-# default GA (300 x 100 generations) on a 2-vCPU Xeon host:
+# default GA (300 x 100 generations) on a 2-vCPU Xeon host, two runs each:
 #   lanes  grid vectors   exact_front   5x run (500 generations)
-#     4        390,625        0.44         1.0
-#     5        371,293        0.90         1.5
-#     5      1,048,576        3.2          1.2
-#     6        262,144        1.8          1.4
-#     6        531,441        4.3          1.7
+#     4        390,625     0.42-0.43      0.62-0.64
+#     5        371,293     0.90-0.97      0.88-0.98
+#     5      1,048,576     3.0-3.3        0.90-0.95
+#     6        262,144     1.35-1.40      1.02-1.16
+#     6        531,441     4.1-4.3        1.03-1.14
 # The cap was set where the two costs crossed when a 5x run took about 5 s;
-# the GA has since become 3-5x cheaper, so at 6 lanes the exact front
-# now costs up to 1.3x the proxy's time below the cap.  The 5x run's peak
+# the GA has since become about 5x cheaper, so at 6 lanes the exact front
+# now costs up to 1.4x the proxy's time below the cap.  The 5x run's peak
 # RSS is about 7 MiB over the imports, exact_front's 6.9 MiB at 6 lanes x
 # 2^18 and 18.7 MiB at 6 lanes x 12^6.  A shorter GA makes the 5x run
 # cheaper still but its front further from the true one.

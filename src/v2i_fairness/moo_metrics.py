@@ -1,12 +1,13 @@
 """Pareto-front quality metrics: hypervolume, GD, IGD, spacing.
 
-All metrics assume minimisation.  Hypervolume is exact: a slab sweep on the
-last objective (after HV3D, Beume et al. 2009), O(n^(d-1)) time for n points
-and d >= 3 objectives with (n, n) temporaries (the fairness problem has one
-objective per lane, so four).  GD uses the classical p=2 definition
-sqrt(sum of squared nearest distances) / |front|; IGD is GD with the
-arguments swapped; spacing is the standard deviation of nearest-neighbour L1
-distances.
+All metrics assume minimisation.  A front comes from one `scan_order` and a
+weak-dominance block scan (`front_mask`), the kernel NSGA-II's survivor sort
+shares.  Hypervolume is exact: a slab sweep on the last objective (after
+HV3D, Beume et al. 2009), O(n^(d-1)) time for n points and d >= 3 objectives
+with (n, n) temporaries (the fairness problem has one objective per lane, so
+four).  GD uses the classical p=2 definition sqrt(sum of squared nearest
+distances) / |front|; IGD is GD with the arguments swapped; spacing is the
+standard deviation of nearest-neighbour L1 distances.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NONDOMINATED_BLOCK = 256   # rows per scan block of `front_rows`
+NONDOMINATED_BLOCK = 256   # rows per scan block of `front_mask`
 
 
 def _as_points(front) -> np.ndarray:
@@ -39,49 +40,46 @@ def weakly_dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return le
 
 
-def dominance_matrix(points: np.ndarray) -> np.ndarray:
-    """(n, n) booleans: [i, j] is True when row i dominates row j (minimisation).
+def scan_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scan order of `points` (row sum, then columns) and, in that order, a
+    mask of the first row of each run of equal rows.
 
-    Equal to `dominates(points, points)` with half its comparisons: i
-    dominates j when `le[i, j]` holds and `le[j, i]` does not.  Rows must be
-    finite.
-    """
-    pts = np.asarray(points, dtype=float)
-    le = weakly_dominates(pts, pts)
-    return le & ~le.T
-
-
-def dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) booleans: [i, j] is True when row i of `a` dominates
-    row j of `b` (minimisation): no worse in every objective and not equal
-    in all."""
-    return weakly_dominates(a, b) & ~weakly_dominates(b, a).T
-
-
-def front_rows(points: np.ndarray) -> np.ndarray:
-    """Ascending indices of the rows that no row dominates; duplicates stay.
-
-    Sort-then-scan (Kung, Luccio & Preparata 1975): sorted on the row sum,
-    then the columns, a row's dominators all come before it (their float sum
-    is no larger; on a tie their columns sort first).  Each sorted block is
-    checked against the front so far, then itself: no (n, n) temporaries.
+    Among distinct rows in scan order an earlier row that weakly dominates a
+    later one dominates it, and no later row weakly dominates an earlier
+    one: a dominator's float sum is no larger, and on a tie its columns sort
+    first (Kung, Luccio & Preparata 1975).
     """
     pts = np.asarray(points, dtype=float)
     order = np.lexsort((*pts.T[::-1], pts.sum(axis=1)))
-    front = np.empty(0, dtype=int)
-    for start in range(0, len(order), NONDOMINATED_BLOCK):
-        chunk = order[start:start + NONDOMINATED_BLOCK]
-        if len(front):
-            chunk = chunk[~dominates(pts[front], pts[chunk]).any(axis=0)]
-        chunk = chunk[~dominance_matrix(pts[chunk]).any(axis=0)]
-        front = np.concatenate([front, chunk])
-    return np.sort(front)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(pts[order], axis=0) != 0).any(axis=1)
+    return order, first
+
+
+def front_mask(pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows no row dominates, given distinct rows in scan order.
+
+    Each block of `NONDOMINATED_BLOCK` rows is tested for weak dominance by
+    the front found so far, then by itself with the diagonal cleared; no
+    (n, n) temporaries.  Any subsequence of a scan order is in scan order.
+    """
+    mask = np.zeros(len(pts), dtype=bool)
+    for start in range(0, len(pts), NONDOMINATED_BLOCK):
+        block = np.arange(start, min(start + NONDOMINATED_BLOCK, len(pts)))
+        block = block[~weakly_dominates(pts[mask], pts[block]).any(axis=0)]
+        le = weakly_dominates(pts[block], pts[block])
+        np.fill_diagonal(le, False)
+        mask[block[~le.any(axis=0)]] = True
+    return mask
 
 
 def nondominated(points: np.ndarray) -> np.ndarray:
     """Distinct rows of `points` that no other row dominates, sorted by row."""
-    pts = np.unique(_as_points(points), axis=0)
-    return pts[front_rows(pts)]
+    pts = _as_points(points)
+    order, first = scan_order(pts)
+    pts = pts[order[first]]
+    pts = pts[front_mask(pts)]
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 def hypervolume(front, reference_point) -> float:

@@ -5,8 +5,8 @@ objective array, row for row, from the first generation to the result.
 
 One generation: pair parents from a seeded shuffle, single-point crossover,
 per-gene uniform-redraw mutation, merge parents and offspring, peel the
-fronts that can survive with `moo_metrics.front_rows` (the front metrics'
-sort-then-scan), crowding distance, then truncate to the population size.
+fronts that can survive with the front metrics' kernel (one `scan_order`,
+then `front_mask` per front), crowding distance, then truncate to M.
 The merge makes the per-objective minima non-increasing across generations
 (elitism), which the metric trends in the experiments rely on.
 
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .moo_metrics import MetricContext, front_rows
+from .moo_metrics import MetricContext, front_mask, scan_order
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -107,9 +107,12 @@ def non_dominated_sort(objectives: np.ndarray,
                        size: int | None = None) -> list[np.ndarray]:
     """Index fronts F1, F2, ... by Pareto dominance (minimisation).
 
-    Each front is `front_rows` of the rows not yet ranked, in index order.
-    With `size`, peeling stops once the fronts found hold at least `size`
-    rows: the shortest prefix of the full partition that covers `size` rows.
+    The rows are put in `moo_metrics.scan_order` once.  Each front is then
+    `front_mask` of the distinct rows not yet ranked, which stay in scan
+    order, so no front sorts again; every copy of a row joins its front.
+    Fronts list their rows in index order.  With `size`, peeling stops once
+    the fronts found hold at least `size` rows: the shortest prefix of the
+    full partition that covers `size` rows.
     """
     obj = np.asarray(objectives, dtype=float)
     if obj.ndim != 2 or obj.size == 0:
@@ -117,13 +120,22 @@ def non_dominated_sort(objectives: np.ndarray,
     if not np.all(np.isfinite(obj)):
         raise ValueError("objectives contain non-finite values")
     goal = len(obj) if size is None else min(size, len(obj))
-    rest = np.arange(len(obj))                 # rows not yet in a front
-    fronts: list[np.ndarray] = []
-    while len(obj) - len(rest) < goal:
-        current = front_rows(obj[rest])
-        fronts.append(rest[current])
-        rest = np.delete(rest, current)
-    return fronts
+    order, first = scan_order(obj)
+    group = np.cumsum(first) - 1               # distinct row of each sorted row
+    pts = obj[order[first]]
+    copies = np.bincount(group)
+    rank = np.full(len(pts), -1)
+    rest = np.arange(len(pts))                 # distinct rows not yet ranked
+    depth = covered = 0
+    while covered < goal:
+        current = front_mask(pts[rest])
+        rank[rest[current]] = depth
+        covered += copies[rest[current]].sum()
+        rest = rest[~current]
+        depth += 1
+    row_rank = np.empty(len(obj), dtype=int)
+    row_rank[order] = rank[group]
+    return [np.flatnonzero(row_rank == k) for k in range(depth)]
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ from v2i_fairness.cli import main as cli_main
 from v2i_fairness.config import ExperimentConfig
 from v2i_fairness.experiments import (
     default_oracle_cases,
+    fairness_inputs,
+    optimize_point,
     run_fig3_metrics,
     run_fig4_sweep,
     run_fig5_comparison,
@@ -40,6 +42,7 @@ from v2i_fairness.nsga2 import (
     pick_optimum,
     select_survivors,
 )
+from v2i_fairness.sps_analytics import objective_batch
 
 
 RESULTS: list[str] = []   # echoed by conftest's terminal-summary hook
@@ -122,6 +125,32 @@ def test_optimal_windows_equal_the_exhaustive_optimum(fig4_run, default_config):
         f"optimum of all {(ub - lb + 1) ** default_config.scenario.num_lanes} "
         f"window vectors at {len(default_config.sweep)} sweep points")
     report("optimal windows equal the exhaustive optimum", not problems, detail)
+
+
+MAX_SEED_MISSES = 5   # of 10 seeds x the 5 default sweep points
+
+
+def test_exhaustive_optimum_is_found_across_seeds(default_config):
+    """NSGA-II does not promise the optimum: over seeds 1-10 at every sweep
+    point, at most `MAX_SEED_MISSES` runs may pick other windows than the
+    exhaustive optimum.  Each miss is named with its relative gap in
+    objective sum."""
+    exact = exhaustive_optima(default_config)
+    misses = []
+    for seed in range(1, 11):
+        config = replace(default_config, seed=seed)
+        for index, (v, (windows, _)) in enumerate(zip(config.sweep, exact)):
+            found = optimize_point(config, v, index)
+            if found.windows != windows:
+                inputs = fairness_inputs(config, config.lane_speeds_at(v))
+                best = float(objective_batch([windows], inputs).sum())
+                misses.append(f"seed {seed} at {v:g} m/s "
+                              f"{found.objective_sum / best - 1:+.1%}")
+    runs = 10 * len(default_config.sweep)
+    report("the exhaustive optimum is found across seeds",
+           len(misses) <= MAX_SEED_MISSES,
+           f"{len(misses)} of {runs} runs miss (at most {MAX_SEED_MISSES})"
+           + "".join(f"; {miss}" for miss in misses))
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import pytest
 from v2i_fairness.moo_metrics import (
     NONDOMINATED_BLOCK,
     MetricContext,
-    dominance_matrix,
-    dominates,
     generational_distance,
     hypervolume,
     inverted_generational_distance,
     nondominated,
+    scan_order,
     spacing,
+    weakly_dominates,
 )
 
 
@@ -78,26 +78,82 @@ def test_nondominated_matches_loop_across_scan_blocks(size, seed):
     np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_dominates_matches_pairwise(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 4, size=(20, 3)).astype(float)
-    b = rng.integers(0, 4, size=(30, 3)).astype(float)
-    expected = [[bool(np.all(p <= q) and np.any(p < q)) for q in b] for p in a]
-    np.testing.assert_array_equal(dominates(a, b), expected)
-
-
 def test_nondominated_all_equal_rows_collapse_to_one():
     out = nondominated(np.full((5, 4), 2.0))
     np.testing.assert_array_equal(out, [[2.0, 2.0, 2.0, 2.0]])
 
 
+def test_nondominated_matches_loop_with_copies_across_scan_blocks():
+    """Copies of a front row that run past a scan-block edge in the scan
+    order of the raw rows (row sum, then columns) give one front row."""
+    rng = np.random.default_rng(11)
+    pts = rng.integers(0, 10, size=(600, 4)).astype(float)
+    least = pts[np.argmin(pts.sum(axis=1))]     # no row dominates it
+    pts = np.concatenate([pts, np.repeat(least[None], NONDOMINATED_BLOCK, 0)])
+    copies = np.flatnonzero((pts == least).all(axis=1))
+    position = np.empty(len(pts), dtype=int)
+    position[np.lexsort((*pts.T[::-1], pts.sum(axis=1)))] = np.arange(len(pts))
+    assert position[copies].min() < NONDOMINATED_BLOCK <= position[copies].max()
+    np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
+
+
+def tied_sum_rows(count: int, dominator_first: bool) -> np.ndarray:
+    """[1e20, 0, 0] and `count` mutually non-dominated rows [1e20, k, 300 - k]
+    that it dominates: every float row sum rounds to 1e20, so only the
+    column tie-break puts the dominator first in scan order."""
+    rows = np.array([[1e20, k, 300 - k] for k in range(1, count + 1)])
+    dominator = np.array([[1e20, 0.0, 0.0]])
+    pts = np.concatenate([dominator, rows] if dominator_first else [rows, dominator])
+    assert np.all(pts.sum(axis=1) == 1e20)
+    return pts
+
+
+@pytest.mark.parametrize("count", [8, 299], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("dominator_first", [True, False])
+def test_float_sum_ties_scan_the_dominator_first(count, dominator_first):
+    pts = tied_sum_rows(count, dominator_first)
+    order, first = scan_order(pts)
+    np.testing.assert_array_equal(pts[order[0]], [1e20, 0.0, 0.0])
+    assert first.all()
+    np.testing.assert_array_equal(nondominated(pts), [[1e20, 0.0, 0.0]])
+    np.testing.assert_array_equal(nondominated(pts), loop_nondominated(pts))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weakly_dominates_matches_pairwise(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 4, size=(20, 3)).astype(float)
+    b = rng.integers(0, 4, size=(30, 3)).astype(float)
+    for x, y in ((a, b), (a, a)):
+        expected = [[bool(np.all(p <= q)) for q in y] for p in x]
+        np.testing.assert_array_equal(weakly_dominates(x, y), expected)
+
+
+def distinct_grid_rows(seed: int) -> np.ndarray:
+    """The 64 rows of {0, 1, 2, 3}^3 in a seeded order: all distinct."""
+    grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1)
+    return np.random.default_rng(seed).permutation(grid.reshape(-1, 3))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dominates_matches_pairwise(seed):
+    """Between two sets with no row in common, weak dominance is dominance:
+    `front_mask` tests each block against the front so far this way."""
+    rows = distinct_grid_rows(seed)
+    a, b = rows[:20], rows[20:50]
+    expected = [[bool(np.all(p <= q) and np.any(p < q)) for q in b] for p in a]
+    np.testing.assert_array_equal(weakly_dominates(a, b), expected)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_dominance_matrix_matches_pairwise(seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.integers(0, 4, size=(30, 3)).astype(float)
+    """Among distinct rows, weak dominance with the diagonal cleared is the
+    dominance matrix: `front_mask` tests each block against itself this way."""
+    pts = distinct_grid_rows(seed)[:30]
     expected = [[bool(np.all(a <= b) and np.any(a < b)) for b in pts] for a in pts]
-    np.testing.assert_array_equal(dominance_matrix(pts), expected)
+    le = weakly_dominates(pts, pts)
+    np.fill_diagonal(le, False)
+    np.testing.assert_array_equal(le, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from test_moo_metrics import tied_sum_rows
 from v2i_fairness import moo_metrics, nsga2
 from v2i_fairness.errors import ConfigError
 from v2i_fairness.nsga2 import (
@@ -358,6 +359,34 @@ def test_sort_with_size_is_the_shortest_covering_prefix(seed):
             shortest = int(np.searchsorted(covered, size)) + 1
             assert ([f.tolist() for f in non_dominated_sort(objs, size)]
                     == [f.tolist() for f in full[:shortest]])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sort_with_size_counts_every_copy(seed):
+    """Nine distinct rows among 40, so most covering boundaries fall inside
+    a run of copies: the front holding them comes back whole, every copy in
+    index order, and the fronts are the shortest covering prefix."""
+    objs = np.random.default_rng(seed).integers(0, 3, size=(40, 2)).astype(float)
+    expected = [sorted(layer)
+                for layer in brute_force_fronts([tuple(row) for row in objs])]
+    covered = np.cumsum([len(layer) for layer in expected])
+    assert len(np.unique(objs, axis=0)) < len(objs)
+    for size in range(1, len(objs) + 1):
+        shortest = int(np.searchsorted(covered, size)) + 1
+        assert ([f.tolist() for f in non_dominated_sort(objs, size)]
+                == expected[:shortest])
+
+
+@pytest.mark.parametrize("count", [8, 299], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("dominator_first", [True, False])
+def test_sort_float_sum_ties_in_either_row_order(count, dominator_first):
+    """Distinct rows whose float sums tie, within one scan block and across
+    two: the dominator is ranked alone first wherever it sits."""
+    objs = tied_sum_rows(count, dominator_first)
+    fronts = non_dominated_sort(objs)
+    expected = brute_force_fronts([tuple(row) for row in objs])
+    assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
+    assert [len(f) for f in fronts] == [1, count]
 
 
 def test_sort_single_row_and_all_equal_rows():
