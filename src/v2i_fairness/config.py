@@ -23,7 +23,7 @@ from .scenario import ScenarioConfig
 from .sps_analytics import SpsParams
 from .util import atomic_write_text
 
-ARTIFACT_VERSION = "0.6.0"   # kept in lockstep with the package version
+ARTIFACT_VERSION = "0.7.0"   # kept in lockstep with the package version
 
 # Experiment-level defaults.  Two values deviate from the module-level
 # dataclass defaults, deliberately:
@@ -84,10 +84,12 @@ class ExperimentConfig:
                     f"average speed {v} puts lane speeds {speeds} outside "
                     f"[{lo}, {hi}]")
         w_lb, w_ub = self.sps.window_bounds
-        if not (w_lb <= self.baseline_window <= w_ub):
+        if not (isinstance(self.baseline_window, int)
+                and w_lb <= self.baseline_window <= w_ub):
             raise ConfigError(
                 "baseline_window",
-                f"{self.baseline_window} outside window_bounds [{w_lb}, {w_ub}]")
+                f"{self.baseline_window} is not an integer in window_bounds "
+                f"[{w_lb}, {w_ub}]")
         if not self.output_dir:
             raise ConfigError("output_dir", "must be a non-empty path")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):

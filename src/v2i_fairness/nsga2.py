@@ -46,10 +46,11 @@ class GAConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 4 or self.population_size % 2:
-            raise ConfigError("ga.population_size", "must be even and >= 4")
-        if self.max_generations < 0:
-            raise ConfigError("ga.max_generations", "must be >= 0")
+        if (not isinstance(self.population_size, int) or self.population_size < 4
+                or self.population_size % 2):
+            raise ConfigError("ga.population_size", "must be an even integer >= 4")
+        if not isinstance(self.max_generations, int) or self.max_generations < 0:
+            raise ConfigError("ga.max_generations", "must be an integer >= 0")
         for key in ("crossover_rate", "mutation_rate"):
             val = getattr(self, key)
             if val is not None and not (0.0 <= val <= 1.0):

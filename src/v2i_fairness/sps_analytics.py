@@ -7,9 +7,10 @@ The pairwise collision probability is the product of three factors:
 where P_O is the probability the two selection windows overlap within one
 reservation period, P_SH|O = (N_Sc * N_Sh / N_r)^2 is the probability both
 vehicles select from the shared portion of the overlap, and C_Ca / N_Ca^2
-rescales to the candidate-PRB pool.  The pool constants C_Ca, N_r, N_Ca are
-not pinned down by the factorisation itself, so two calibrations are provided
-(see `collision_factors`):
+rescales to the candidate-PRB pool.  `collision_probability` computes the
+whole product.  The pool constants C_Ca, N_r, N_Ca are not pinned down by the
+factorisation itself, so ``SpsParams.collision_model`` picks one of two
+calibrations:
 
 ``bounded-pool``
     The candidate pool is the full bounded selection range (w_UB + 1 slots,
@@ -24,8 +25,6 @@ not pinned down by the factorisation itself, so two calibrations are provided
     (slot offset, subchannel) reservation.  This matches the sensing-free
     Monte Carlo simulator mechanically and is the calibration the oracle
     validation runs under.
-
-Every constant can also be overridden explicitly through SpsParams.
 """
 
 from __future__ import annotations
@@ -77,17 +76,14 @@ class SpsParams:
     packet_rate: float = 20.0         # tau, packets/s
     rc_range: tuple[int, int] = (5, 15)   # reselection-counter redraw bounds
     collision_model: str = "bounded-pool"
-    c_ca: float | None = None         # explicit C_Ca override
-    n_r: float | None = None          # explicit N_r override
-    n_ca: float | None = None         # explicit N_Ca override
 
     def __post_init__(self):
         slots_per_rri(self.numerology, self.rri)  # validates rri/mu jointly
         if self.num_subchannels < 1 or self.num_subchannels != int(self.num_subchannels):
             raise ConfigError("sps.num_subchannels", "must be an integer >= 1")
         w_lb, w_ub = self.window_bounds
-        if not (0 <= w_lb <= w_ub):
-            raise ConfigError("sps.window_bounds", "need 0 <= w_LB <= w_UB")
+        if not (isinstance(w_lb, int) and isinstance(w_ub, int) and 0 <= w_lb <= w_ub):
+            raise ConfigError("sps.window_bounds", "need integers 0 <= w_LB <= w_UB")
         if not (w_lb <= self.selection_window <= w_ub):
             raise ConfigError("sps.selection_window",
                               f"{self.selection_window} outside [{w_lb}, {w_ub}]")
@@ -106,10 +102,6 @@ class SpsParams:
             raise ConfigError("sps.collision_model",
                               f"unknown model {self.collision_model!r}; "
                               f"choose from {COLLISION_MODELS}")
-        for key in ("c_ca", "n_r", "n_ca"):
-            val = getattr(self, key)
-            if val is not None and val <= 0:
-                raise ConfigError(f"sps.{key}", "override must be positive")
 
     @cached_property
     def slots_per_rri(self) -> int:
@@ -118,104 +110,63 @@ class SpsParams:
 
 
 # Eq.-level operations -------------------------------------------------------
-#
-# Windows may be scalars or broadcastable arrays throughout, and every domain
-# check covers every element.  `FairnessInputs` evaluates the chain once over
-# the window bounds, (W, 1) against (1, W), and the optimiser reads that table.
 
 
-def overlap_probability(w_i, w_j, numerology: int, rri: float):
-    """P_O = (w_i + w_j + 1) / slots_per_rri: chance the windows overlap."""
+def collision_probability(params: SpsParams, w_i, w_j):
+    """delta_col = P_O * P_SH|O * C_Ca / N_Ca^2 for windows (w_i, w_j).
+
+    With T slots per RRI and N_Sc subchannels: P_O = (w_i + w_j + 1) / T,
+    the shared slots N_Sh = (w_i + 1)(w_j + 1) / (w_i + w_j + 1), P_SH|O =
+    (N_Sc N_Sh / N_r)^2 and C_Ca = N_Sc N_Sh.  ``bounded-pool`` takes
+    N_r = N_Sc (w_UB + 1) and N_Ca = gamma N_r; ``uniform-selection`` takes
+    N_r = N_Sc sqrt((w_i + 1)(w_j + 1)) and N_Ca = C_Ca.
+
+    Windows may be scalars or broadcastable arrays, and every domain check
+    covers every element: a negative window raises ``ValueError``; a span
+    over T, N_Sc N_Sh > N_r or a delta outside [0, 1] raises
+    ``ModelDomainError``.
+    """
     w_i = np.asarray(w_i, dtype=float)
     w_j = np.asarray(w_j, dtype=float)
     if (w_i < 0).any() or (w_j < 0).any():
         raise ValueError("windows must be >= 0")
-    slots = slots_per_rri(numerology, rri)
+    slots = params.slots_per_rri
     span = w_i + w_j + 1.0
     if (span > slots).any():
         raise ModelDomainError(
             f"combined window span {np.max(span)} exceeds the "
             f"{slots}-slot reservation period")
-    return span / slots
-
-
-def shared_resources(w_i, w_j):
-    """N_Sh = (w_i+1)(w_j+1)/(w_i+w_j+1): expected shared slots in the overlap."""
-    w_i = np.asarray(w_i, dtype=float)
-    w_j = np.asarray(w_j, dtype=float)
-    if (w_i < 0).any() or (w_j < 0).any():
-        raise ValueError("windows must be >= 0")
-    return (w_i + 1.0) * (w_j + 1.0) / (w_i + w_j + 1.0)
-
-
-def shared_selection_probability(n_sc, n_sh, n_r):
-    """P_SH|O = (N_Sc * N_Sh / N_r)^2: both pick from the shared resources."""
-    if any((np.asarray(x) <= 0).any() for x in (n_sc, n_sh, n_r)):
-        raise ValueError("N_Sc, N_Sh, N_r must all be positive")
+    n_sc = params.num_subchannels
+    n_sh = (w_i + 1.0) * (w_j + 1.0) / span
+    if params.collision_model == "bounded-pool":
+        n_r = n_sc * (params.window_bounds[1] + 1.0)
+        n_ca = params.candidate_fraction * n_r
+    else:  # uniform-selection
+        n_r = n_sc * np.sqrt((w_i + 1.0) * (w_j + 1.0))
+        n_ca = n_sc * n_sh
     ratio = n_sc * n_sh / n_r
     if np.any(ratio > 1.0 + 1e-12):
         raise ModelDomainError(
             f"shared resources N_Sc*N_Sh exceed the pool N_r "
             f"(ratio {np.max(ratio)})")
-    return np.minimum(ratio, 1.0) ** 2
-
-
-def collision_factors(params: SpsParams, w_i, w_j):
-    """(C_Ca, N_r, N_Ca) under the configured calibration, with overrides applied."""
-    n_sc = params.num_subchannels
-    wi = np.asarray(w_i, dtype=float)
-    wj = np.asarray(w_j, dtype=float)
-    n_sh = shared_resources(wi, wj)
-    if params.collision_model == "bounded-pool":
-        pool = n_sc * (params.window_bounds[1] + 1.0)
-        c_ca, n_r, n_ca = n_sc * n_sh, pool, params.candidate_fraction * pool
-    else:  # uniform-selection
-        c_ca = n_ca = n_sc * n_sh
-        n_r = n_sc * np.sqrt((wi + 1.0) * (wj + 1.0))
-    if params.c_ca is not None:
-        c_ca = params.c_ca
-    if params.n_r is not None:
-        n_r = params.n_r
-    if params.n_ca is not None:
-        n_ca = params.n_ca
-    return c_ca, n_r, n_ca
-
-
-def collision_from_factors(p_overlap, p_shared, c_ca, n_ca):
-    """delta_col = P_O * P_SH|O * C_Ca / N_Ca^2, checked to land in [0, 1]."""
-    if (np.asarray(n_ca) <= 0).any() or (np.asarray(c_ca) < 0).any():
-        raise ValueError("need C_Ca >= 0 and N_Ca > 0")
-    delta = p_overlap * p_shared * c_ca / n_ca ** 2
+    delta = span / slots * np.minimum(ratio, 1.0) ** 2 * (n_sc * n_sh) / n_ca ** 2
     if not np.all((delta >= 0.0) & (delta <= 1.0)):
         raise ModelDomainError(
             f"delta_col outside [0, 1] (max {np.max(delta)}); "
-            f"C_Ca/N_Ca configuration inconsistent")
+            f"sps.candidate_fraction too small for the pool")
     return delta
-
-
-def collision_probability(params: SpsParams, w_i, w_j):
-    """Pairwise collision probability for windows (w_i, w_j) under `params`."""
-    p_o = overlap_probability(w_i, w_j, params.numerology, params.rri)
-    c_ca, n_r, n_ca = collision_factors(params, w_i, w_j)
-    p_sh = shared_selection_probability(params.num_subchannels,
-                                        shared_resources(w_i, w_j), n_r)
-    return collision_from_factors(p_o, p_sh, c_ca, n_ca)
-
-
-def half_duplex_probability(packet_rate: float) -> float:
-    """delta_hd = tau / 1000: chance the receiver is itself transmitting."""
-    if not (0.0 <= packet_rate <= 1000.0):
-        raise ValueError(f"packet_rate must lie in [0, 1000], got {packet_rate}")
-    return packet_rate / 1000.0
 
 
 def packet_reception_ratio(i: int, params: SpsParams,
                            windows: Sequence[float]) -> float:
-    """PRR for vehicle i: prod_{j!=i} (1 - delta_col^j) * (1 - delta_hd)."""
+    """PRR for vehicle i: prod_{j!=i} (1 - delta_col^j) * (1 - delta_hd).
+
+    delta_hd = tau / 1000 is the chance the receiver is itself transmitting.
+    """
     n = len(windows)
     if not 0 <= i < n:
         raise ValueError(f"vehicle index {i} outside 0..{n - 1}")
-    delta_hd = half_duplex_probability(params.packet_rate)
+    delta_hd = params.packet_rate / 1000.0
     prr = 1.0
     for j in range(n):
         if j == i:

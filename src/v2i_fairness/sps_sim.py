@@ -34,8 +34,9 @@ closed-form model is ambiguous about which event it counts:
 The first matches the random-selection model exactly in the stationary
 regime; the second runs slightly hot because reselection shortens the
 average gap between transmissions.  Both are returned so the discrepancy
-stays visible.  :func:`estimate` returns both readings and the PRR from one
-simulation.
+stays visible.  :func:`estimate` runs the episodes and returns both readings
+and the PRR from one simulation; :func:`estimate_collision_prob` and
+:func:`estimate_prr` each return one of its two rows.
 
 Draws come in blocks: an estimate asks its Generator for ``_BLOCK``
 uniforms at a time and hands them out one by one, and an integer in
@@ -453,20 +454,6 @@ def _cluster_se(rates: list[float]) -> float:
     return float(np.std(rates, ddof=1) / math.sqrt(len(rates)))
 
 
-def _collect(config: SimConfig, num_events: int, rng_seed, episodes: int) -> _Tally:
-    if num_events < 1:
-        raise ValueError(f"num_events must be >= 1, got {num_events}")
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
-    rng = _Draws(as_rng(rng_seed))
-    episodes = min(episodes, num_events)
-    per_episode = math.ceil(num_events / episodes)
-    tally = _Tally()
-    for _ in range(episodes):
-        _run_episode(config, rng, per_episode, tally)
-    return tally
-
-
 def _collision_estimate(config: SimConfig, tally: _Tally) -> CollisionEstimate:
     if config.num_vehicles < 2:  # a lone vehicle cannot collide
         return CollisionEstimate(0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
@@ -499,40 +486,38 @@ def estimate(
 ) -> tuple[CollisionEstimate, PrrEstimate]:
     """Collision probability and PRR, both read from one simulation.
 
-    The pair is exactly what :func:`estimate_collision_prob` and
-    :func:`estimate_prr` return for the same arguments, at the cost of one
-    of them.
+    The events are split over ``E = min(episodes, num_events)`` episodes
+    of ``ceil(num_events / E)`` reselections each: asking for more episodes
+    than events silently runs one episode per event.  A lone vehicle cannot
+    collide, so with ``num_vehicles == 1`` both collision readings are zero.
+
+    The PRR is the fraction of transmissions decodable by every other
+    vehicle.  A transmission fails when another vehicle occupies the same
+    PRB (collision) or transmits anywhere in the same slot (half-duplex: a
+    transmitting radio cannot receive).
     """
-    tally = _collect(config, num_events, rng_seed, episodes)
+    if num_events < 1:
+        raise ValueError(f"num_events must be >= 1, got {num_events}")
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    rng = _Draws(as_rng(rng_seed))
+    episodes = min(episodes, num_events)
+    per_episode = math.ceil(num_events / episodes)
+    tally = _Tally()
+    for _ in range(episodes):
+        _run_episode(config, rng, per_episode, tally)
     return _collision_estimate(config, tally), _prr_estimate(tally)
 
 
 def estimate_collision_prob(
     config: SimConfig, num_events: int, rng_seed=None, *, episodes: int = 200
 ) -> CollisionEstimate:
-    """Measure PRB collisions over ``num_events`` reselection events.
-
-    The events are split over ``E = min(episodes, num_events)`` episodes
-    of ``ceil(num_events / E)`` reselections each: asking for more episodes
-    than events silently runs one episode per event.  A lone vehicle cannot
-    collide, so ``num_vehicles == 1`` short-circuits to zero under both
-    readings.
-    """
-    if num_events < 1:
-        raise ValueError(f"num_events must be >= 1, got {num_events}")
-    if config.num_vehicles < 2:
-        return _collision_estimate(config, _Tally())
-    return _collision_estimate(config, _collect(config, num_events, rng_seed, episodes))
+    """The collision row of :func:`estimate`."""
+    return estimate(config, num_events, rng_seed, episodes=episodes)[0]
 
 
 def estimate_prr(
     config: SimConfig, num_events: int, rng_seed=None, *, episodes: int = 200
 ) -> PrrEstimate:
-    """Fraction of transmissions decodable by every other vehicle.
-
-    A transmission fails when another vehicle occupies the same PRB
-    (collision) or transmits anywhere in the same slot (half-duplex: a
-    transmitting radio cannot receive).  Episodes are split as in
-    :func:`estimate_collision_prob`: ``min(episodes, num_events)`` of them.
-    """
-    return _prr_estimate(_collect(config, num_events, rng_seed, episodes))
+    """The PRR row of :func:`estimate`."""
+    return estimate(config, num_events, rng_seed, episodes=episodes)[1]

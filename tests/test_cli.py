@@ -141,3 +141,11 @@ def test_validate_config_rejects_a_0_2_0_manifest(tmp_path, capsys):
     assert main(["validate-config", "--config", str(path)]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["key"] == "scenario.arrival_rate"
+
+
+def test_validate_config_rejects_a_non_integer_window(tmp_path, capsys):
+    path = tmp_path / "float_window.yaml"
+    path.write_text("baseline_window: 15.0\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["key"] == "baseline_window"

@@ -33,6 +33,13 @@ def test_defaults_construct_and_validate():
 def test_shipped_default_file_matches_builtin_defaults():
     path = REPO_ROOT / "configs" / "default.yaml"
     assert load_config(path) == ExperimentConfig()
+    # the file documents every knob: it names exactly the effective keys
+    shipped = yaml.safe_load(path.read_text(encoding="utf-8"))
+    builtin = effective_dict(ExperimentConfig())
+    assert shipped.keys() == builtin.keys()
+    for name, section in builtin.items():
+        if isinstance(section, dict):
+            assert shipped[name].keys() == section.keys(), name
 
 
 def test_empty_file_yields_defaults(tmp_path):
@@ -77,6 +84,10 @@ def test_partial_top_level_override(tmp_path):
     ({"scenario": 3}, "scenario"),
     ({"seed": "one"}, "seed"),
     ({"output_dir": ""}, "output_dir"),
+    ({"baseline_window": 15.0}, "baseline_window"),
+    ({"sps": {"window_bounds": [0, 15.0]}}, "sps.window_bounds"),
+    ({"ga": {"population_size": 300.0}}, "ga.population_size"),
+    ({"ga": {"max_generations": 2.0}}, "ga.max_generations"),
 ])
 def test_invalid_configs_name_the_offending_key(tmp_path, doc, key_fragment):
     path = write_yaml(tmp_path, doc)
@@ -148,31 +159,15 @@ def test_manifest_writes_are_atomic(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_0_3_0_manifest_still_loads(tmp_path):
-    # 0.4.0 changed fig3's reference front but no configuration key
-    config = ExperimentConfig(seed=7)
-    doc = {"artifact_version": "0.3.0", "seed": 7,
-           "config": effective_dict(config)}
+def test_0_6_0_manifest_with_removed_keys_is_rejected(tmp_path):
+    # manifests up to 0.6.0 list the collision overrides that 0.7.0 removed
+    config = effective_dict(ExperimentConfig())
+    config["sps"].update(c_ca=None, n_r=None, n_ca=None)
+    doc = {"artifact_version": "0.6.0", "seed": 1, "config": config}
     path = write_yaml(tmp_path, doc, name="manifest.yaml")
-    assert load_config(path) == config
-
-
-def test_0_4_0_manifest_still_loads(tmp_path):
-    # 0.5.0 changed the simulator's random stream but no configuration key
-    config = ExperimentConfig(seed=3)
-    doc = {"artifact_version": "0.4.0", "seed": 3,
-           "config": effective_dict(config)}
-    path = write_yaml(tmp_path, doc, name="manifest.yaml")
-    assert load_config(path) == config
-
-
-def test_0_5_0_manifest_still_loads(tmp_path):
-    # 0.6.0 changed the GA's random stream but no configuration key
-    config = ExperimentConfig(seed=4)
-    doc = {"artifact_version": "0.5.0", "seed": 4,
-           "config": effective_dict(config)}
-    path = write_yaml(tmp_path, doc, name="manifest.yaml")
-    assert load_config(path) == config
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "sps.c_ca"
 
 
 def test_0_2_0_manifest_with_removed_keys_is_rejected(tmp_path):
@@ -193,7 +188,8 @@ def test_0_2_0_manifest_with_removed_keys_is_rejected(tmp_path):
     ("scenario", "arrival_rate"), ("scenario", "lane_offsets"),
     ("scenario", "lane_directions"), ("channel", "bandwidth"),
     ("channel", "wavelength"), ("channel", "angle_cos"),
-    ("channel", "step_interval"),
+    ("channel", "step_interval"), ("sps", "c_ca"), ("sps", "n_r"),
+    ("sps", "n_ca"),
 ])
 def test_removed_keys_are_unknown(tmp_path, section, key):
     path = write_yaml(tmp_path, {section: {key: 1.0}})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,22 +9,17 @@ from hypothesis import strategies as st
 
 from conftest import window_grid
 from v2i_fairness.channel import ChannelParams
+from v2i_fairness.config import DEFAULT_SPS
 from v2i_fairness.errors import ConfigError, ModelDomainError
 from v2i_fairness.scenario import ScenarioConfig
 from v2i_fairness.sps_analytics import (
     COLLISION_MODELS,
     FairnessInputs,
     SpsParams,
-    collision_factors,
-    collision_from_factors,
     collision_probability,
     fairness_indices,
-    half_duplex_probability,
     objective_batch,
-    overlap_probability,
     packet_reception_ratio,
-    shared_resources,
-    shared_selection_probability,
     slots_per_rri,
 )
 
@@ -43,9 +39,6 @@ def delta_ref(params: SpsParams, wi: float, wj: float) -> float:
     else:
         c_ca = n_ca = n_sc * n_sh
         n_r = n_sc * math.sqrt((wi + 1.0) * (wj + 1.0))
-    c_ca = params.c_ca if params.c_ca is not None else c_ca
-    n_r = params.n_r if params.n_r is not None else n_r
-    n_ca = params.n_ca if params.n_ca is not None else n_ca
     p_shared = (n_sc * n_sh / n_r) ** 2
     return p_overlap * p_shared * c_ca / n_ca ** 2
 
@@ -111,90 +104,10 @@ class TestSpsParams:
         (dict(packet_rate=0.0), "packet_rate"),
         (dict(packet_rate=2000.0), "packet_rate"),
         (dict(rc_range=(0, 5)), "rc_range"),
-        (dict(n_ca=-1.0), "n_ca"),
     ])
     def test_rejects_invalid(self, kwargs, key):
         with pytest.raises(ConfigError, match=key):
             SpsParams(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# the individual factors
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("wi, wj, mu, rri, expected", [
-    (0, 0, 0, 1.0, 0.001),
-    (20, 30, 0, 0.1, 0.51),
-])
-def test_overlap_probability_values(wi, wj, mu, rri, expected):
-    assert overlap_probability(wi, wj, mu, rri) == pytest.approx(expected)
-
-
-def test_overlap_probability_increasing_in_windows():
-    vals = [overlap_probability(w, w, 0, 0.1) for w in range(0, 45, 5)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_overlap_probability_domain():
-    with pytest.raises(ModelDomainError):
-        overlap_probability(30, 30, 0, 0.05)  # span 61 > 50 slots
-    with pytest.raises(ValueError):
-        overlap_probability(-1, 0, 0, 0.1)
-
-
-@pytest.mark.parametrize("wi, wj, expected", [
-    (0, 0, 1.0),
-    (2, 3, 2.0),
-    (10, 10, 121.0 / 21.0),
-])
-def test_shared_resources_values(wi, wj, expected):
-    assert shared_resources(wi, wj) == pytest.approx(expected)
-
-
-@given(st.integers(0, 1000), st.integers(0, 1000))
-def test_shared_resources_symmetric_and_bounded(wi, wj):
-    n_sh = shared_resources(wi, wj)
-    assert n_sh == pytest.approx(shared_resources(wj, wi))
-    assert n_sh <= min(wi, wj) + 1 + 1e-9
-    assert n_sh >= 1.0
-
-
-@pytest.mark.parametrize("n_sc, n_sh, n_r, expected", [
-    (4, 4, 16, 1.0),
-    (4, 2, 16, 0.25),
-    (2, 1, 8, 0.0625),
-])
-def test_shared_selection_probability_values(n_sc, n_sh, n_r, expected):
-    assert shared_selection_probability(n_sc, n_sh, n_r) == pytest.approx(expected)
-
-
-def test_shared_selection_probability_domain():
-    with pytest.raises(ModelDomainError):
-        shared_selection_probability(4, 5, 16)
-    with pytest.raises(ValueError):
-        shared_selection_probability(0, 1, 8)
-
-
-def test_collision_from_factors_value():
-    assert collision_from_factors(0.051, 0.25, 8, 20) == pytest.approx(2.55e-4)
-
-
-def test_collision_from_factors_rejects_inconsistent():
-    with pytest.raises(ModelDomainError):
-        collision_from_factors(1.0, 1.0, 50.0, 2.0)  # product 12.5
-
-
-@pytest.mark.parametrize("tau, expected", [(0.0, 0.0), (10.0, 0.01), (1000.0, 1.0)])
-def test_half_duplex_values(tau, expected):
-    assert half_duplex_probability(tau) == pytest.approx(expected)
-
-
-def test_half_duplex_domain():
-    with pytest.raises(ValueError):
-        half_duplex_probability(1001.0)
-    with pytest.raises(ValueError):
-        half_duplex_probability(-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +141,9 @@ def test_bounded_pool_increasing_in_neighbour_window(wi, wj, wk):
        st.sampled_from(["bounded-pool", "uniform-selection"]))
 def test_collision_probability_is_probability(wi, wj, model):
     p = SpsParams(rri=0.05, num_subchannels=2, collision_model=model)
-    assert 0.0 <= collision_probability(p, wi, wj) <= 1.0
+    delta = collision_probability(p, wi, wj)
+    assert 0.0 <= delta <= 1.0
+    assert delta.tobytes() == collision_probability(p, wj, wi).tobytes()
 
 
 @settings(max_examples=150)
@@ -240,15 +155,6 @@ def test_collision_probability_matches_reference(wi, wj, model, n_sc, rri):
     p = SpsParams(rri=rri, num_subchannels=n_sc, collision_model=model)
     assert collision_probability(p, wi, wj) == pytest.approx(
         delta_ref(p, wi, wj), rel=1e-12)
-
-
-def test_explicit_overrides_win():
-    p = SpsParams(rri=0.05, num_subchannels=2, c_ca=8.0, n_r=16.0, n_ca=20.0)
-    assert collision_factors(p, 4, 4) == (8.0, 16.0, 20.0)
-    n_sh = shared_resources(4, 4)
-    expected = (overlap_probability(4, 4, 0, 0.05)
-                * shared_selection_probability(2, n_sh, 16.0) * 8.0 / 400.0)
-    assert collision_probability(p, 4, 4) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +211,24 @@ def test_collision_probability_broadcasts_over_window_grid(model):
 
 
 def test_broadcast_domain_checks_cover_every_element():
-    p = SpsParams(rri=0.05, num_subchannels=2)
+    """Each check fires at (w, w), alone and as the one pair out of the
+    domain in an array that starts in it at (0, 0)."""
+    cases = [
+        (SpsParams(), -1, ValueError, "windows must be >= 0"),
+        (SpsParams(), 30, ModelDomainError, "span 61.0 exceeds the 50-slot"),
+        (SpsParams(rri=0.1), 40, ModelDomainError, "exceed the pool N_r"),
+        (SpsParams(candidate_fraction=0.01), 15, ModelDomainError,
+         "sps.candidate_fraction"),
+    ]
+    for params, w, error, match in cases:
+        with pytest.raises(error, match=match):
+            collision_probability(params, w, w)
+        pair = np.array([0, w])
+        with pytest.raises(error, match=match):
+            collision_probability(params, pair, pair)
+        assert 0.0 < collision_probability(params, 0, 0) < 1.0
     with pytest.raises(ModelDomainError):
-        overlap_probability(np.array([0, 30]), 30, 0, 0.05)  # span 61 > 50
-    with pytest.raises(ValueError):
-        shared_resources(np.array([3, -1]), 2)
-    with pytest.raises(ModelDomainError):
-        shared_selection_probability(4, np.array([2.0, 5.0]), 16)
-    with pytest.raises(ModelDomainError):
-        collision_from_factors(1.0, 1.0, np.array([1.0, 50.0]), 2.0)
-    with pytest.raises(ModelDomainError):
-        collision_probability(p, np.array([[0], [40]]), np.array([[0, 15]]))
+        collision_probability(SpsParams(), np.array([[0], [40]]), np.array([[0, 15]]))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +461,24 @@ def test_tables_are_read_only_and_scoring_leaves_them_unchanged():
     assert fi.network.tobytes() == network.tobytes()
     assert fi.survival.shape == (16, 16) and fi.network.shape == (61,)
     assert np.all(np.diag(fi.survival) < 1.0)
+
+
+@pytest.mark.parametrize("sps, digest", [
+    (DEFAULT_SPS,
+     "43eb5e725ce51b80ca6ba09b4ce5a32d5655e27103a26cfcc4a2964c4bb41902"),
+    (replace(DEFAULT_SPS, collision_model="uniform-selection"),
+     "032396ffacf0c051290b703eee5b10e3d043f2849c9de9b89ff098c2513e69c2"),
+    (replace(DEFAULT_SPS, rri=0.1, num_subchannels=4, window_bounds=(3, 12),
+             selection_window=12, candidate_fraction=0.2),
+     "0ea09cd3ef1c66058e9944f6e9595d46f2c5f9c9c6d78885e978ab9ab6545f49"),
+], ids=["bounded-pool", "uniform-selection", "rri0.1-nsc4-bounds3-12"])
+def test_table_bytes_are_pinned(sps, digest):
+    """The tables' bytes at the scenario's lane speeds, so a change in the
+    collision chain's float order shows at configs the CSVs do not reach."""
+    fi = FairnessInputs(channel=ChannelParams(), sps=sps,
+                        speeds=ScenarioConfig().lane_speeds, **GEOMETRY)
+    assert hashlib.sha256(fi.survival.tobytes()
+                          + fi.network.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("windows", [[[8.5, 8.0]], np.array([[8.0, 8.0]])])
