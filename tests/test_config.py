@@ -159,6 +159,39 @@ def test_manifest_writes_are_atomic(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def old_manifest_loads_without_the_overrides(tmp_path, version, seed):
+    """A manifest of `version` exits on the sps overrides it lists, and
+    loads to its configuration once they are dropped: the version stamp
+    itself gates nothing."""
+    config = ExperimentConfig(seed=seed)
+    inner = effective_dict(config)
+    inner["sps"].update(c_ca=None, n_r=None, n_ca=None)
+    doc = {"artifact_version": version, "seed": seed, "config": inner}
+    path = write_yaml(tmp_path, doc, name="manifest.yaml")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "sps.c_ca"
+    for key in ("c_ca", "n_r", "n_ca"):
+        del inner["sps"][key]
+    path = write_yaml(tmp_path, doc, name="manifest.yaml")
+    assert load_config(path) == config
+
+
+def test_0_3_0_manifest_still_loads(tmp_path):
+    # 0.4.0 changed fig3's reference front but no configuration key
+    old_manifest_loads_without_the_overrides(tmp_path, "0.3.0", 7)
+
+
+def test_0_4_0_manifest_still_loads(tmp_path):
+    # 0.5.0 changed the simulator's random stream but no configuration key
+    old_manifest_loads_without_the_overrides(tmp_path, "0.4.0", 3)
+
+
+def test_0_5_0_manifest_still_loads(tmp_path):
+    # 0.6.0 changed the GA's random stream but no configuration key
+    old_manifest_loads_without_the_overrides(tmp_path, "0.5.0", 4)
+
+
 def test_0_6_0_manifest_with_removed_keys_is_rejected(tmp_path):
     # manifests up to 0.6.0 list the collision overrides that 0.7.0 removed
     config = effective_dict(ExperimentConfig())

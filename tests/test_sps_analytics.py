@@ -157,6 +157,44 @@ def test_collision_probability_matches_reference(wi, wj, model, n_sc, rri):
         delta_ref(p, wi, wj), rel=1e-12)
 
 
+def test_overlap_probability_domain():
+    p = SpsParams(rri=0.05, num_subchannels=2)
+    with pytest.raises(ModelDomainError, match="exceeds the 50-slot"):
+        collision_probability(p, 30, 30)  # span 61 > 50 slots
+    with pytest.raises(ValueError, match="windows must be >= 0"):
+        collision_probability(p, -1, 0)
+
+
+@given(st.integers(0, 499), st.integers(0, 499))
+def test_shared_resources_symmetric_and_bounded(wi, wj):
+    """N_Sh read back from bounded-pool delta_col: with N_Sc = gamma = 1,
+    delta = (span / T) * N_Sh^3 / N_r^4 and N_r = w_UB + 1."""
+    p = SpsParams(rri=1.0, num_subchannels=1, window_bounds=(0, 1000),
+                  candidate_fraction=1.0)
+    delta = collision_probability(p, wi, wj)
+    assert delta.tobytes() == collision_probability(p, wj, wi).tobytes()
+    span, slots, n_r = wi + wj + 1.0, 1000.0, 1001.0
+    n_sh = float(np.cbrt(delta * slots / span * n_r ** 4))
+    assert n_sh == pytest.approx((wi + 1.0) * (wj + 1.0) / span, rel=1e-9)
+    assert n_sh <= (min(wi, wj) + 1) * (1 + 1e-9)
+    assert n_sh >= 1.0 - 1e-9
+
+
+def test_shared_selection_probability_domain():
+    # bounded pool N_r = 2 * 16 = 32, but N_Sc * N_Sh = 2 * 41^2 / 81 > 32
+    with pytest.raises(ModelDomainError, match="exceed the pool N_r"):
+        collision_probability(SpsParams(rri=0.1), 40, 40)
+    with pytest.raises(ValueError, match="sps.num_subchannels"):
+        SpsParams(num_subchannels=0)
+
+
+def test_collision_from_factors_rejects_inconsistent():
+    # gamma = 0.01 shrinks N_Ca until the product exceeds 1 (about 27)
+    p = SpsParams(rri=0.05, num_subchannels=2, candidate_fraction=0.01)
+    with pytest.raises(ModelDomainError, match="delta_col outside"):
+        collision_probability(p, 15, 15)
+
+
 # ---------------------------------------------------------------------------
 # packet reception ratio
 # ---------------------------------------------------------------------------
