@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError("output_dir", "must be a non-empty path")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError("seed", "must be an integer")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
 
     @property
     def speed_offsets(self) -> tuple[float, ...]:

@@ -1,13 +1,15 @@
 """Pareto-front quality metrics: hypervolume, GD, IGD, spacing.
 
 All metrics assume minimisation.  A front comes from one `scan_order` and a
-weak-dominance block scan (`front_mask`), the kernel NSGA-II's survivor sort
-shares.  Hypervolume is exact: a slab sweep on the last objective (after
-HV3D, Beume et al. 2009), O(n^(d-1)) time for n points and d >= 3 objectives
-with (n, n) temporaries (the fairness problem has one objective per lane, so
-four).  GD uses the classical p=2 definition sqrt(sum of squared nearest
-distances) / |front|; IGD is GD with the arguments swapped; spacing is the
-standard deviation of nearest-neighbour L1 distances.
+weak-dominance block scan (`front_mask`), which finds one front among many
+rows with small temporaries; NSGA-II's survivor sort shares `scan_order` and
+ranks every front from dominator bitsets instead.  Hypervolume is exact: a
+slab sweep on the last objective (after HV3D, Beume et al. 2009),
+O(n^(d-1)) time for n points and d >= 3 objectives with (n, n) temporaries
+(the fairness problem has one objective per lane, so four).  GD uses the
+classical p=2 definition sqrt(sum of squared nearest distances) / |front|;
+IGD is GD with the arguments swapped; spacing is the standard deviation of
+nearest-neighbour L1 distances.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NONDOMINATED_BLOCK = 256   # rows per scan block of `front_mask`
+# rows per scan block of `front_mask`, which only `nondominated` runs
+NONDOMINATED_BLOCK = 256
 
 
 def _as_points(front) -> np.ndarray:

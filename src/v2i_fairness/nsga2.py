@@ -5,8 +5,9 @@ objective array, row for row, from the first generation to the result.
 
 One generation: pair parents from a seeded shuffle, single-point crossover,
 per-gene uniform-redraw mutation, merge parents and offspring, peel the
-fronts that can survive with the front metrics' kernel (one `scan_order`,
-then `front_mask` per front), crowding distance, then truncate to M.
+fronts that can survive (one `scan_order` to merge equal rows, one dominator
+bitset per distinct row, then one AND per front), crowding distance, then
+truncate to M.
 The merge makes the per-objective minima non-increasing across generations
 (elitism), which the metric trends in the experiments rely on.
 
@@ -29,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .moo_metrics import MetricContext, front_mask, scan_order
+from .moo_metrics import MetricContext, scan_order
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -104,16 +105,51 @@ def offspring(parents: np.ndarray, crossover_rate: float, mutation_rate: float,
 # sorting and selection ------------------------------------------------------
 
 
+def _dominators(pts: np.ndarray) -> np.ndarray:
+    """(n, ceil(n/64)) uint64 words: bit i of row j is set when row i is <=
+    row j in every objective and i != j.
+
+    Built one column at a time: the rows in argsort order each set their own
+    bit, `bitwise_or.accumulate` turns those into "rows sorted so far", and
+    each row takes the prefix that ends at the last row of its run of equal
+    values, so ties count as <=.  The columns are ANDed and the diagonal
+    cleared.  At most three (n, ceil(n/64)) word arrays live at once, 47 KiB
+    each at 600 rows; no (n, n) array is made.
+    """
+    n = len(pts)
+    rows = np.arange(n)
+    word = rows >> 6
+    bit = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    dom = np.full((n, (n + 63) // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for column in pts.T:
+        order = np.argsort(column)    # any kind: ties are read at run ends
+        below = np.zeros_like(dom)
+        below[rows, word[order]] = bit[order]
+        np.bitwise_or.accumulate(below, axis=0, out=below)
+        step = column[order[1:]] != column[order[:-1]]
+        run = np.concatenate(([0], np.cumsum(step)))
+        at = np.empty(n, dtype=np.intp)
+        at[order] = np.append(np.flatnonzero(step), n - 1)[run]
+        dom &= below[at]
+    dom[rows, word] &= ~bit
+    return dom
+
+
 def non_dominated_sort(objectives: np.ndarray,
                        size: int | None = None) -> list[np.ndarray]:
     """Index fronts F1, F2, ... by Pareto dominance (minimisation).
 
-    The rows are put in `moo_metrics.scan_order` once.  Each front is then
-    `front_mask` of the distinct rows not yet ranked, which stay in scan
-    order, so no front sorts again; every copy of a row joins its front.
-    Fronts list their rows in index order.  With `size`, peeling stops once
-    the fronts found hold at least `size` rows: the shortest prefix of the
-    full partition that covers `size` rows.
+    Equal rows are merged with `moo_metrics.scan_order`; among the distinct
+    rows, weak dominance by another row is strict dominance.  Each distinct
+    row's dominators come as one bitset (`_dominators`), and a front is the
+    unranked rows with no live dominator bit: one AND and `any` per front,
+    with no comparison made twice (after Moreno, Rodriguez, Nebro & Lozano
+    2021, merge non-dominated sorting).  Memory is O(n^2 / 64) words for n
+    distinct rows: 47 KiB per word array at 600 rows, and a traced peak of
+    about 0.23 MiB at 600 rows and 1.7 MiB at 2,000.  Every copy of a row
+    joins its front, and fronts list their rows in index order.  With
+    `size`, peeling stops once the fronts found hold at least `size` rows:
+    the shortest prefix of the full partition that covers `size` rows.
     """
     obj = np.asarray(objectives, dtype=float)
     if obj.ndim != 2 or obj.size == 0:
@@ -125,14 +161,20 @@ def non_dominated_sort(objectives: np.ndarray,
     group = np.cumsum(first) - 1               # distinct row of each sorted row
     pts = obj[order[first]]
     copies = np.bincount(group)
+    dom = _dominators(pts)
+    alive = np.zeros(dom.shape[1] * 64, dtype=bool)
+    alive[:len(pts)] = True
     rank = np.full(len(pts), -1)
     rest = np.arange(len(pts))                 # distinct rows not yet ranked
     depth = covered = 0
     while covered < goal:
-        current = front_mask(pts[rest])
-        rank[rest[current]] = depth
-        covered += copies[rest[current]].sum()
-        rest = rest[~current]
+        live = np.packbits(alive, bitorder="little").view("<u8")
+        blocked = (dom[rest] & live).any(axis=1)
+        front = rest[~blocked]
+        rank[front] = depth
+        covered += copies[front].sum()
+        alive[front] = False
+        rest = rest[blocked]
         depth += 1
     row_rank = np.empty(len(obj), dtype=int)
     row_rank[order] = rank[group]

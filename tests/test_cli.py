@@ -116,6 +116,15 @@ def test_oracle_rejects_budget_below_one_before_writing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+def test_fig4_with_a_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["fig4", "--seed", "-1", "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ConfigError"
+    assert payload["key"] == "seed"
+    assert not out.exists()
+
+
 def test_fig4_outside_the_model_domain_exits_1_naming_the_span(tmp_path, capsys):
     """20 slots per RRI cannot hold two windows of 15; the objective's
     tables check every in-bounds pair before the GA starts."""

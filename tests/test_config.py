@@ -88,6 +88,7 @@ def test_partial_top_level_override(tmp_path):
     ({"sps": {"window_bounds": [0, 15.0]}}, "sps.window_bounds"),
     ({"ga": {"population_size": 300.0}}, "ga.population_size"),
     ({"ga": {"max_generations": 2.0}}, "ga.max_generations"),
+    ({"seed": -1}, "seed"),
 ])
 def test_invalid_configs_name_the_offending_key(tmp_path, doc, key_fragment):
     path = write_yaml(tmp_path, doc)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from test_moo_metrics import tied_sum_rows
-from v2i_fairness import moo_metrics, nsga2
+from v2i_fairness import experiments, moo_metrics, nsga2
+from v2i_fairness.config import ExperimentConfig
 from v2i_fairness.errors import ConfigError
 from v2i_fairness.nsga2 import (
     GAConfig,
@@ -339,7 +342,8 @@ def test_sort_matches_brute_force_in_index_order_with_ties(dim, seed):
     np.array([[1e16, 1.0]] * 299 + [[1e16, 0.0]]),
 ], ids=["int-300", "int-600", "float-sum-tie"])
 def test_sort_matches_brute_force_in_index_order_across_scan_blocks(objs):
-    """Above `moo_metrics.NONDOMINATED_BLOCK` rows the scan spans blocks;
+    """Above `moo_metrics.NONDOMINATED_BLOCK` rows `front_mask` scans in
+    blocks and the sort's dominator bitsets span several 64-row words;
     600 rows is the merge of a default population."""
     assert len(objs) > moo_metrics.NONDOMINATED_BLOCK
     fronts = non_dominated_sort(objs)
@@ -380,13 +384,116 @@ def test_sort_with_size_counts_every_copy(seed):
 @pytest.mark.parametrize("count", [8, 299], ids=["one-block", "two-blocks"])
 @pytest.mark.parametrize("dominator_first", [True, False])
 def test_sort_float_sum_ties_in_either_row_order(count, dominator_first):
-    """Distinct rows whose float sums tie, within one scan block and across
-    two: the dominator is ranked alone first wherever it sits."""
+    """Distinct rows whose float sums tie, within one 64-row dominator word
+    and across five: the dominator is ranked alone first wherever it sits."""
     objs = tied_sum_rows(count, dominator_first)
     fronts = non_dominated_sort(objs)
     expected = brute_force_fronts([tuple(row) for row in objs])
     assert [f.tolist() for f in fronts] == [sorted(layer) for layer in expected]
     assert [len(f) for f in fronts] == [1, count]
+
+
+def assert_sort_matches_brute_force_with_every_size(objs):
+    expected = [sorted(layer)
+                for layer in brute_force_fronts([tuple(row) for row in objs])]
+    assert [f.tolist() for f in non_dominated_sort(objs)] == expected
+    covered = np.cumsum([len(layer) for layer in expected])
+    for size in range(1, len(objs) + 1):
+        shortest = int(np.searchsorted(covered, size)) + 1
+        assert ([f.tolist() for f in non_dominated_sort(objs, size)]
+                == expected[:shortest])
+    return expected
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("rows", [63, 64, 65, 127, 128, 129])
+def test_sort_matches_brute_force_at_word_edges(rows, dim):
+    """The dominators of a row are bits in 64-row words: integers in 0..3
+    put duplicates and per-objective ties on both sides of a word edge, and
+    every `size` gives the shortest covering prefix."""
+    objs = np.random.default_rng([rows, dim]).integers(
+        0, 4, size=(rows, dim)).astype(float)
+    expected = assert_sort_matches_brute_force_with_every_size(objs)
+    if dim == 1:
+        assert all(len(np.unique(objs[layer])) == 1 for layer in expected)
+
+
+@pytest.mark.parametrize("distinct", [63, 64, 65, 127, 128, 129])
+def test_sort_matches_brute_force_with_distinct_rows_at_word_edges(distinct):
+    """Bits count distinct rows, so here the distinct rows themselves number
+    63 to 129: drawn without replacement from the 4^5 integer grid in 0..3,
+    then 20 copies of drawn rows are shuffled in."""
+    rng = np.random.default_rng(distinct)
+    cells = rng.choice(4 ** 5, size=distinct, replace=False)
+    rows = (cells[:, None] // 4 ** np.arange(5)) % 4
+    objs = rng.permutation(np.concatenate(
+        [rows, rows[rng.integers(0, distinct, 20)]])).astype(float)
+    assert len(np.unique(objs, axis=0)) == distinct
+    assert_sort_matches_brute_force_with_every_size(objs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dominator_bits_are_the_weak_dominance_relation(seed):
+    """Bit i of row j is set exactly when row i is <= row j in every
+    objective and i != j, across three words with ties in every column."""
+    pts = np.random.default_rng(seed).integers(0, 3, size=(150, 3)).astype(float)
+    dom = nsga2._dominators(pts)
+    assert dom.shape == (150, 3) and dom.dtype == np.uint64
+    bits = np.unpackbits(dom.astype("<u8").view(np.uint8), axis=1,
+                         bitorder="little").astype(bool)
+    want = moo_metrics.weakly_dominates(pts, pts).T
+    np.fill_diagonal(want, False)
+    assert np.array_equal(bits[:, :150], want)
+    assert not bits[:, 150:].any()
+
+
+def reference_sort(objectives, size=None):
+    """The sort as it was before the dominator bitsets: one `scan_order`,
+    then `moo_metrics.front_mask` of the distinct rows not yet ranked for
+    each front."""
+    obj = np.asarray(objectives, dtype=float)
+    goal = len(obj) if size is None else min(size, len(obj))
+    order, first = moo_metrics.scan_order(obj)
+    group = np.cumsum(first) - 1
+    pts = obj[order[first]]
+    copies = np.bincount(group)
+    rank = np.full(len(pts), -1)
+    rest = np.arange(len(pts))
+    depth = covered = 0
+    while covered < goal:
+        current = moo_metrics.front_mask(pts[rest])
+        rank[rest[current]] = depth
+        covered += copies[rest[current]].sum()
+        rest = rest[~current]
+        depth += 1
+    row_rank = np.empty(len(obj), dtype=int)
+    row_rank[order] = rank[group]
+    return [np.flatnonzero(row_rank == k) for k in range(depth)]
+
+
+@pytest.mark.parametrize("generations", [8, 100])
+def test_sort_matches_the_block_scan_on_every_merge_of_a_ga_point(
+        monkeypatch, generations):
+    """Every merge `select_survivors` sees in one population-300 GA point
+    at 25 m/s is ranked as the per-front `front_mask` peel ranked it."""
+    merges = []
+    select = nsga2.select_survivors
+
+    def capture(genomes, objectives, size):
+        merges.append((objectives.copy(), size))
+        return select(genomes, objectives, size)
+
+    monkeypatch.setattr(nsga2, "select_survivors", capture)
+    config = ExperimentConfig()
+    experiments.optimize_point(
+        replace(config, ga=replace(config.ga, max_generations=generations)),
+        25.0, 2)
+    assert len(merges) == generations
+    assert {len(obj) for obj, _ in merges} == {600}
+    for obj, size in merges:
+        got = non_dominated_sort(obj, size)
+        want = reference_sort(obj, size)
+        assert [f.tolist() for f in got] == [f.tolist() for f in want]
 
 
 def test_sort_single_row_and_all_equal_rows():
