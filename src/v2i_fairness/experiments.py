@@ -204,7 +204,8 @@ def _scored_grid(evaluator, positions: range, bounds: tuple[int, int],
     base = ub - lb + 1
     powers = base ** np.arange(num_genes - 1, -1, -1)
     for start in range(0, len(positions), _GRID_CHUNK):
-        index = np.asarray(positions[start:start + _GRID_CHUNK])
+        chunk = positions[start:start + _GRID_CHUNK]
+        index = np.arange(chunk.start, chunk.stop, chunk.step)
         yield np.asarray(evaluator(lb + index[:, None] // powers % base),
                          dtype=float)
 

@@ -29,6 +29,7 @@ calibrations:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -61,6 +62,10 @@ def slots_per_rri(numerology: int, rri: float) -> int:
     return int(rounded)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpsParams:
     """SPS-layer parameters shared by the analytic model and the simulator."""
@@ -84,20 +89,22 @@ class SpsParams:
         w_lb, w_ub = self.window_bounds
         if not (isinstance(w_lb, int) and isinstance(w_ub, int) and 0 <= w_lb <= w_ub):
             raise ConfigError("sps.window_bounds", "need integers 0 <= w_LB <= w_UB")
-        if not (w_lb <= self.selection_window <= w_ub):
+        if not (_is_int(self.selection_window)
+                and w_lb <= self.selection_window <= w_ub):
             raise ConfigError("sps.selection_window",
-                              f"{self.selection_window} outside [{w_lb}, {w_ub}]")
+                              f"{self.selection_window!r} is not an integer in "
+                              f"[{w_lb}, {w_ub}]")
         if not (0.0 <= self.keep_probability <= 0.8):
             raise ConfigError("sps.keep_probability", "must lie in [0, 0.8]")
         if not (0.0 < self.candidate_fraction <= 1.0):
             raise ConfigError("sps.candidate_fraction", "must lie in (0, 1]")
-        if self.sensing_window <= 0:
-            raise ConfigError("sps.sensing_window", "must be positive")
+        if not (0.0 < self.sensing_window < math.inf):
+            raise ConfigError("sps.sensing_window", "must be finite and positive")
         if not (0.0 < self.packet_rate <= 1000.0):
             raise ConfigError("sps.packet_rate", "must lie in (0, 1000]")
         rc_lo, rc_hi = self.rc_range
-        if not (1 <= rc_lo <= rc_hi):
-            raise ConfigError("sps.rc_range", "need 1 <= rc_min <= rc_max")
+        if not (_is_int(rc_lo) and _is_int(rc_hi) and 1 <= rc_lo <= rc_hi):
+            raise ConfigError("sps.rc_range", "need integers 1 <= rc_min <= rc_max")
         if self.collision_model not in COLLISION_MODELS:
             raise ConfigError("sps.collision_model",
                               f"unknown model {self.collision_model!r}; "

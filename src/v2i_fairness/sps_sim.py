@@ -135,36 +135,46 @@ def _sensed_pick(trigger: int, window: int, params: SpsParams, rng,
                  last_seen: dict[tuple[int, int], int]) -> tuple[int, int]:
     """Draw a PRB from the window, avoiding the reservations others announced.
 
-    Candidates are every PRB in the ``window + 1`` slots after the trigger,
-    slot by slot and subchannel by subchannel.  ``last_seen`` maps each
-    announced reservation, (slot phase modulo ``params.slots_per_rri``,
-    subchannel), to the last slot another vehicle was heard on it; candidates
-    matching one are excluded.  If that leaves fewer than
-    ``ceil(params.candidate_fraction * |candidates|)``, the exclusions heard
-    least recently are re-admitted, in ``(last_seen, key)`` order, until the
-    floor is met.  Either way the pick is one ``rng.integers`` draw over what
-    remains; with nothing announced it is :func:`_uniform_pick`'s.
+    Candidate ``p`` is slot ``trigger + 1 + p // N_Sc``, subchannel
+    ``p % N_Sc``, for ``p`` below ``(window + 1) * N_Sc``.  ``last_seen`` maps
+    each announced reservation, (slot phase modulo ``params.slots_per_rri``,
+    subchannel), to the last slot another vehicle was heard on it; it
+    excludes its candidates, one per period the window spans, and a key
+    matching none excludes nothing.  If fewer than
+    ``ceil(params.candidate_fraction * |candidates|)`` remain, the exclusions
+    heard least recently are re-admitted, in ``(last_seen, key)`` order,
+    until the floor is met.  Either way the pick is one ``rng.integers``
+    draw ``k`` over what remains, stepped past the excluded positions at or
+    below it, so no candidate is listed; with nothing announced it is
+    :func:`_uniform_pick`'s.
     """
     n_sc = params.num_subchannels
     if not last_seen:
         return _uniform_pick(trigger, window, n_sc, rng)
     period = params.slots_per_rri
-    slots = range(trigger + 1, trigger + 2 + window)
-    candidates = [(s, c) for s in slots for c in range(n_sc)]
-    available = [prb for prb in candidates
-                 if (prb[0] % period, prb[1]) not in last_seen]
-    floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
-    if len(available) < floor:
-        admitted = set(available)
-        for key in sorted(last_seen, key=lambda key: (last_seen[key], key)):
-            if len(admitted) >= floor:
+    size = (window + 1) * n_sc
+    stride = period * n_sc
+    excluded: dict[tuple[int, int], range] = {}  # key -> its candidate positions
+    count = 0
+    for key in last_seen:
+        phase, sc = key
+        offset = (phase - trigger - 1) % period  # slots from trigger + 1 to the phase
+        if offset <= window and 0 <= sc < n_sc and 0 <= phase < period:
+            positions = excluded[key] = range(offset * n_sc + sc, size, stride)
+            count += len(positions)
+    floor = max(1, math.ceil(params.candidate_fraction * size))
+    if size - count < floor:
+        for key in sorted(excluded, key=lambda key: (last_seen[key], key)):
+            if size - count >= floor:
                 break
-            admitted.update(
-                prb for prb in candidates if (prb[0] % period, prb[1]) == key
-            )
-        available = sorted(admitted)
+            count -= len(excluded.pop(key))
 
-    return available[int(rng.integers(0, len(available)))]
+    k = int(rng.integers(0, size - count))
+    for position in sorted(itertools.chain.from_iterable(excluded.values())):
+        if position > k:
+            break
+        k += 1
+    return trigger + 1 + k // n_sc, k % n_sc
 
 
 def _sensing_slots(params: SpsParams) -> int:
@@ -269,11 +279,14 @@ def _next_prune(last_prune: int, retention: int, slot: int, period: int,
     the previous one.  Called before the first reselection of each slot
     that has one, so every finished run ended where the prunes were already
     brought up to date: only the current runs (``first`` onwards) can hold
-    the next one.
+    the next one.  A current run's first slot at or after ``due`` is its
+    ``start`` if that is not before ``due``, else ``due`` stepped up to the
+    run's phase.
     """
     while True:
         due = last_prune + retention
-        nearest = min(max(start, due + (start - due) % period) for start in first)
+        nearest = min([start if start >= due else due + (start - due) % period
+                       for start in first])
         if nearest > slot:
             return last_prune
         last_prune = nearest
@@ -285,14 +298,14 @@ def _last_seen(vid: int, slot: int, heard_from: int, period: int,
     """Per (phase, subchannel), the last slot in ``heard_from .. slot`` another vehicle used.
 
     ``runs`` are finished runs ending at or after ``heard_from``; a current
-    run counts up to ``slot`` once it has started.
+    run counts up to ``slot`` once it has started.  Finished runs are
+    appended with ``last`` set to the slot they end in, and slots are
+    visited in order, so along ``runs`` ``last`` never falls: on a shared
+    key a later run is never older, and overwriting keeps the maximum.
+    The current runs are then merged in with an explicit maximum.
     """
-    last_seen: dict[tuple[int, int], int] = {}
-    for start, last, sc, other in runs:
-        if other != vid:
-            key = (start % period, sc)
-            if last > last_seen.get(key, -1):
-                last_seen[key] = last
+    last_seen = {(start % period, sc): last
+                 for start, last, sc, other in runs if other != vid}
     for other, (start, sc) in enumerate(zip(first, subchannel)):
         if other != vid and start <= slot:
             last = start + (slot - start) // period * period

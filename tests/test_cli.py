@@ -158,3 +158,17 @@ def test_validate_config_rejects_a_non_integer_window(tmp_path, capsys):
     assert main(["validate-config", "--config", str(path)]) == 2
     payload = json.loads(capsys.readouterr().err.strip())
     assert payload["key"] == "baseline_window"
+
+
+@pytest.mark.parametrize("line, key", [
+    ("sps: {sensing_window: .nan}", "sps.sensing_window"),
+    ("sps: {selection_window: 4.5}", "sps.selection_window"),
+    ("sps: {rc_range: [1.5, 3]}", "sps.rc_range"),
+])
+def test_validate_config_rejects_an_sps_value_the_simulator_cannot_run(
+        tmp_path, capsys, line, key):
+    path = tmp_path / "bad_sps.yaml"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert main(["validate-config", "--config", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["key"] == key

@@ -89,6 +89,13 @@ def test_partial_top_level_override(tmp_path):
     ({"ga": {"population_size": 300.0}}, "ga.population_size"),
     ({"ga": {"max_generations": 2.0}}, "ga.max_generations"),
     ({"seed": -1}, "seed"),
+    ({"sps": {"sensing_window": float("nan")}}, "sps.sensing_window"),
+    ({"sps": {"sensing_window": float("inf")}}, "sps.sensing_window"),
+    ({"sps": {"selection_window": 4.5}}, "sps.selection_window"),
+    ({"sps": {"selection_window": True}}, "sps.selection_window"),
+    ({"sps": {"rc_range": [1.5, 3]}}, "sps.rc_range"),
+    ({"sps": {"rc_range": [1, 3.0]}}, "sps.rc_range"),
+    ({"sps": {"rc_range": [True, 3]}}, "sps.rc_range"),
 ])
 def test_invalid_configs_name_the_offending_key(tmp_path, doc, key_fragment):
     path = write_yaml(tmp_path, doc)

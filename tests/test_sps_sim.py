@@ -84,27 +84,19 @@ def reference_agents(config, rng):
     ]
 
 
-def reference_reselect(agent, params, rng, history=None, *, own_id):
-    """The agent's next PRB, from the candidate list and a scan of ``history``.
+def reference_sensed_pick(trigger, window, params, rng, last_seen):
+    """The sensed pick from a list of every candidate in the window.
 
-    Every transmission in ``history`` some vehicle other than ``own_id`` made
-    announces a reservation on its (slot phase, subchannel); matching
-    candidates are excluded, and below the candidate floor the exclusions
-    seen least recently are re-admitted.  Without history the pick is
-    uniform over the candidates.
+    Candidates are listed slot by slot, then subchannel; those whose (slot
+    phase, subchannel) is a key of ``last_seen`` are filtered out, and below
+    the candidate floor the keys are re-admitted in ``(last_seen, key)``
+    order until the floor is met.  One ``rng.integers`` draw indexes what
+    remains.
     """
-    trigger = agent.current_prb[0]
     n_sc = params.num_subchannels
     period = params.slots_per_rri
-    slots = range(trigger + 1, trigger + 2 + agent.window)
+    slots = range(trigger + 1, trigger + 2 + window)
     candidates = [(s, c) for s in slots for c in range(n_sc)]
-    last_seen: dict[tuple[int, int], int] = {}
-    for (obs_slot, obs_sc), vehicles in (history or {}).items():
-        if vehicles <= {own_id}:
-            continue
-        key = (obs_slot % period, obs_sc)
-        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
-
     available = [prb for prb in candidates
                  if (prb[0] % period, prb[1]) not in last_seen]
     floor = max(1, math.ceil(params.candidate_fraction * len(candidates)))
@@ -118,6 +110,26 @@ def reference_reselect(agent, params, rng, history=None, *, own_id):
             )
         available = sorted(admitted)
     return available[int(rng.integers(0, len(available)))]
+
+
+def reference_reselect(agent, params, rng, history=None, *, own_id):
+    """The agent's next PRB, from a scan of ``history`` and the candidate list.
+
+    Every transmission in ``history`` some vehicle other than ``own_id`` made
+    announces a reservation on its (slot phase, subchannel), last seen in
+    the latest slot it was heard; :func:`reference_sensed_pick` then picks
+    from the agent's window.  Without history the pick is uniform over the
+    candidates.
+    """
+    period = params.slots_per_rri
+    last_seen: dict[tuple[int, int], int] = {}
+    for (obs_slot, obs_sc), vehicles in (history or {}).items():
+        if vehicles <= {own_id}:
+            continue
+        key = (obs_slot % period, obs_sc)
+        last_seen[key] = max(obs_slot, last_seen.get(key, obs_slot))
+    return reference_sensed_pick(agent.current_prb[0], agent.window, params, rng,
+                                 last_seen)
 
 
 def reference_step(agents, slot_index, params, rng, history: History | None = None):
@@ -427,8 +439,8 @@ def test_draws_pick_uniform_over_candidates():
 def test_blind_pick_matches_candidate_list(n_sc):
     # the blind pick is computed from the draw, and so is the sensed one
     # when nothing was announced; the same draw indexes the same candidate,
-    # also when the sensed pick lists the candidates because an announced
-    # reservation (on a subchannel out of range) excludes none of them
+    # also when an announced reservation (on a subchannel out of range)
+    # excludes no candidate, so the sensed pick steps its draw past nothing
     params = make_params(n_sc=n_sc, w=15)
     for trigger in (0, 7, 49, 50, 123):
         for window in (0, 1, 4, 15, 60):
@@ -442,6 +454,94 @@ def test_blind_pick_matches_candidate_list(n_sc):
                     pick = _sensed_pick(trigger, window, params,
                                         np.random.default_rng(seed), last_seen)
                     assert pick == candidates[k]
+
+
+def test_sensed_pick_matches_the_candidate_list(monkeypatch):
+    # the pick steps its draw past the excluded window positions, the
+    # reference filters a list of every candidate: the same PRB and the same
+    # generator state (one uniform per Generator call), over windows past
+    # the period, keys that match no candidate (phase or subchannel out of
+    # range), every key announced with tied last-seen slots so the floor
+    # re-admits, and nothing announced
+    monkeypatch.setattr(sps_sim, "_BLOCK", 1)
+    cases = np.random.default_rng(2024)
+    readmitted = 0
+    for case in range(4000):
+        period = int(cases.choice([1, 2, 5, 10, 20]))
+        n_sc = int(cases.integers(1, 5))
+        window = int(cases.integers(0, 3 * period + 3))
+        params = make_params(rri=period / 1000, n_sc=n_sc,
+                             gamma=float(cases.choice([0.05, 0.2, 0.5, 1.0])))
+        trigger = int(cases.integers(0, 4 * period))
+        in_range = [(phase, sc) for phase in range(period) for sc in range(n_sc)]
+        stray = [(-1, 0), (period, 0), (0, -1), (0, n_sc), (period + 2, n_sc + 1)]
+        kind = case % 4
+        if kind == 0:
+            keys = []
+        elif kind == 1:
+            keys = in_range
+        else:
+            pool = in_range + stray if kind == 2 else stray
+            keys = [pool[i] for i in cases.permutation(len(pool))[
+                :int(cases.integers(1, len(pool) + 1))]]
+        last_seen = {key: int(cases.integers(0, 3)) for key in keys}
+        size = (window + 1) * n_sc
+        free = sum(1 for s in range(trigger + 1, trigger + 2 + window)
+                   for c in range(n_sc) if (s % period, c) not in last_seen)
+        readmitted += free < max(1, math.ceil(params.candidate_fraction * size))
+
+        rng, ref_rng = np.random.default_rng(case), np.random.default_rng(case)
+        pick = _sensed_pick(trigger, window, params, _Draws(rng), last_seen)
+        ref = reference_sensed_pick(trigger, window, params, _Draws(ref_rng), last_seen)
+        assert pick == ref, (case, trigger, window, params, last_seen)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, case
+    assert readmitted > 500
+
+
+def test_last_seen_is_the_latest_transmission_heard():
+    # finished runs in the order the episode appends them (by end slot, then
+    # vehicle) and cut as it cuts them, at the first one ending in the
+    # sensing window; the brute force walks every transmission another
+    # vehicle made in heard_from .. slot
+    cases = np.random.default_rng(7)
+    shared_end = not_started = cut = 0
+    for _ in range(1500):
+        period = int(cases.choice([1, 3, 10]))
+        n_sc = int(cases.integers(1, 3))
+        num_vehicles = int(cases.integers(1, 6))
+        slot = int(cases.integers(0, 8 * period))
+        finished, first, subchannel = [], [], []
+        for vid in range(num_vehicles):
+            start, sc = int(cases.integers(0, period)), int(cases.integers(0, n_sc))
+            while (last := start + int(cases.integers(0, 4)) * period) <= slot:
+                finished.append((start, last, sc, vid))
+                start = last + 1 + int(cases.integers(0, period + 2))
+                sc = int(cases.integers(0, n_sc))
+            first.append(start)
+            subchannel.append(sc)
+        finished.sort(key=lambda run: (run[1], run[3]))
+        heard_from = slot - int(cases.integers(0, 3 * period + 1))
+        runs = [run for run in finished if run[1] >= heard_from]
+        vid = int(cases.integers(0, num_vehicles))
+
+        expect: dict[tuple[int, int], int] = {}
+        heard = [(s, sc, other) for start, last, sc, other in finished
+                 for s in range(start, last + 1, period)]
+        heard += [(s, sc, other)
+                  for other, (start, sc) in enumerate(zip(first, subchannel))
+                  for s in range(start, slot + 1, period)]
+        for s, sc, other in heard:
+            if other != vid and heard_from <= s <= slot:
+                key = (s % period, sc)
+                expect[key] = max(s, expect.get(key, s))
+        assert sps_sim._last_seen(vid, slot, heard_from, period, first, subchannel,
+                                  runs) == expect
+
+        ends = [(run[0] % period, run[1], run[2]) for run in runs if run[3] != vid]
+        shared_end += len(ends) > len(set(ends))
+        not_started += any(start > slot for start in first)
+        cut += len(runs) < len(finished)
+    assert min(shared_end, not_started, cut) > 50
 
 
 # ---------------------------------------------------------------------------
