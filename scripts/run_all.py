@@ -4,13 +4,15 @@
 Usage:
   python scripts/run_all.py [--config configs/default.yaml] [--out results] [--seed N]
 
-Prints each verb's wall-clock and CPU seconds.  Stops at the first failing
-step and propagates its exit code.
+Prints each verb's wall-clock and CPU seconds, then the line count of
+``src/v2i_fairness``.  Stops at the first failing step and propagates its
+exit code.
 """
 
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from v2i_fairness.cli import main as cli_main
 
@@ -36,6 +38,10 @@ def main() -> int:
               f"({time.process_time() - cpu_start:.1f} CPU s)")
         if code != 0:
             return code
+    package = Path(__file__).resolve().parents[1] / "src" / "v2i_fairness"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in package.glob("*.py"))
+    print(f"\nsrc/v2i_fairness: {lines} lines")
     return 0
 
 

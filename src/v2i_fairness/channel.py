@@ -22,10 +22,11 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for key in ("tx_power", "noise_power"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"channel.{key}", "must be positive")
-        if self.path_loss_exponent < 0:
-            raise ConfigError("channel.path_loss_exponent", "must be non-negative")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"channel.{key}", "must be finite and positive")
+        if not 0 <= self.path_loss_exponent < math.inf:
+            raise ConfigError("channel.path_loss_exponent",
+                              "must be finite and non-negative")
 
 
 def spectral_efficiency(params: ChannelParams, distance: float) -> float:

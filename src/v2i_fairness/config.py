@@ -11,6 +11,7 @@ earlier outputs byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,10 +21,14 @@ from .channel import ChannelParams
 from .errors import ConfigError
 from .nsga2 import GAConfig
 from .scenario import ScenarioConfig
-from .sps_analytics import SpsParams
+from .sps_analytics import SpsParams, _is_int
 from .util import atomic_write_text
 
 ARTIFACT_VERSION = "0.7.0"   # kept in lockstep with the package version
+
+# fig3's exact reference front scores every window vector: at the limit that
+# costs 4.6 CPU s (5 lanes x 16^5) to 40 s (10 x 4^10); 6 x 16^6 ran past 10 min
+MAX_GRID_VECTORS = 2 ** 20
 
 # Experiment-level defaults.  Two values deviate from the module-level
 # dataclass defaults, deliberately:
@@ -77,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("sweep", "need at least one average speed")
         lo, hi = self.scenario.speed_min, self.scenario.speed_max
         for v in self.sweep:
+            if not math.isfinite(v):
+                raise ConfigError("sweep", f"average speed {v} is not finite")
             speeds = self.lane_speeds_at(v)
             if min(speeds) < lo - 1e-12 or max(speeds) > hi + 1e-12:
                 raise ConfigError(
@@ -84,7 +91,14 @@ class ExperimentConfig:
                     f"average speed {v} puts lane speeds {speeds} outside "
                     f"[{lo}, {hi}]")
         w_lb, w_ub = self.sps.window_bounds
-        if not (isinstance(self.baseline_window, int)
+        lanes = self.scenario.num_lanes
+        grid = (w_ub - w_lb + 1) ** lanes
+        if grid > MAX_GRID_VECTORS:
+            raise ConfigError(
+                "sps.window_bounds",
+                f"window grid of {grid} vectors ({w_ub - w_lb + 1} windows, "
+                f"{lanes} lanes) exceeds the {MAX_GRID_VECTORS}-vector limit")
+        if not (_is_int(self.baseline_window)
                 and w_lb <= self.baseline_window <= w_ub):
             raise ConfigError(
                 "baseline_window",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .moo_metrics import nondominated, weakly_dominates
-from .nsga2 import pick_optimum, run, write_history
+from .nsga2 import Optimum, pick_optimum, run, write_history
 from .sps_analytics import (
     FairnessInputs,
     SpsParams,
@@ -35,22 +35,6 @@ from .util import atomic_write_text
 _FIG3_STREAM = 500
 _ORACLE_STREAM = 1000
 
-# fig3 scores window grids up to this many vectors for its exact reference
-# front; above it the front of a 5x-longer run stands in.  CPU s at the
-# default GA (300 x 100 generations) on a 2-vCPU Xeon host, two runs each:
-#   lanes  grid vectors   exact_front   5x run (500 generations)
-#     4        390,625     0.42-0.43      0.62-0.64
-#     5        371,293     0.90-0.97      0.88-0.98
-#     5      1,048,576     3.0-3.3        0.90-0.95
-#     6        262,144     1.35-1.40      1.02-1.16
-#     6        531,441     4.1-4.3        1.03-1.14
-# The cap was set where the two costs crossed when a 5x run took about 5 s;
-# the GA has since become about 5x cheaper, so at 6 lanes the exact front
-# now costs up to 1.4x the proxy's time below the cap.  The 5x run's peak
-# RSS is about 7 MiB over the imports, exact_front's 6.9 MiB at 6 lanes x
-# 2^18 and 18.7 MiB at 6 lanes x 12^6.  A shorter GA makes the 5x run
-# cheaper still but its front further from the true one.
-EXACT_GRID_CAP = 2 ** 18
 # grid rows per evaluator call: one call on the whole default grid (16^4)
 # peaks near 47 MiB, against about 40 MiB for all of fig3
 _GRID_CHUNK = 1024
@@ -92,19 +76,8 @@ def resolve_threshold(config: ExperimentConfig, inputs: FairnessInputs) -> float
     return config.ga.threshold * float(k_net[0])
 
 
-@dataclass(frozen=True)
-class PointOptimum:
-    """Outcome of one sweep point's window optimization."""
-
-    avg_speed: float
-    windows: tuple[int, ...]
-    objectives: tuple[float, ...]
-    objective_sum: float
-    feasible: bool          # False: threshold filter was empty, fell back
-
-
 def optimize_point(config: ExperimentConfig, avg_speed: float,
-                   index: int) -> PointOptimum:
+                   index: int) -> Optimum:
     """Run the GA for one average speed and pick the reported optimum."""
     speeds = config.lane_speeds_at(avg_speed)
     inputs = fairness_inputs(config, speeds)
@@ -117,28 +90,21 @@ def optimize_point(config: ExperimentConfig, avg_speed: float,
                  threshold=threshold)
     try:
         result = run(ga, config.sps.window_bounds, len(speeds), evaluator)
-        optimum = pick_optimum(result.genomes, result.objectives, threshold)
+        return pick_optimum(result.genomes, result.objectives, threshold)
     except Exception as exc:
         raise RuntimeError(
             f"optimizer failed at sweep point avg_speed={avg_speed}: {exc}"
         ) from exc
-    return PointOptimum(
-        avg_speed=avg_speed,
-        windows=tuple(int(w) for w in optimum.windows),
-        objectives=tuple(float(x) for x in optimum.objectives),
-        objective_sum=float(optimum.objective_sum),
-        feasible=optimum.feasible,
-    )
 
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _report_fallback(optimum: PointOptimum) -> None:
+def _report_fallback(avg_speed: float, optimum: Optimum) -> None:
     """Say on stdout when a point's threshold filter was empty."""
     if not optimum.feasible:
-        print(f"avg_speed {_fmt(optimum.avg_speed)}: no individual met the "
+        print(f"avg_speed {_fmt(avg_speed)}: no individual met the "
               f"threshold; reported the unfiltered sum-minimiser")
 
 
@@ -162,7 +128,7 @@ def run_fig4_sweep(config: ExperimentConfig,
     rows: list[list] = []
     for index, avg_speed in enumerate(config.sweep):
         optimum = optimize_point(config, avg_speed, index)
-        _report_fallback(optimum)
+        _report_fallback(avg_speed, optimum)
         for lane, window in enumerate(optimum.windows):
             rows.append([_fmt(avg_speed), lane, window])
     return _write_csv(out / "fig4_optimal_windows.csv",
@@ -182,7 +148,7 @@ def run_fig5_comparison(config: ExperimentConfig,
     rows: list[list] = []
     for index, avg_speed in enumerate(config.sweep):
         optimum = optimize_point(config, avg_speed, index)
-        _report_fallback(optimum)
+        _report_fallback(avg_speed, optimum)
         speeds = config.lane_speeds_at(avg_speed)
         inputs = fairness_inputs(config, speeds)
         baseline = objective_batch(
@@ -236,13 +202,13 @@ def run_fig3_metrics(config: ExperimentConfig,
 
     The run optimizes the scenario's own lane speeds.  GD/IGD are measured
     against the exact Pareto front of the whole window grid
-    (:func:`exact_front`) while the grid holds at most `EXACT_GRID_CAP`
-    vectors; above that, against the final front of a 5x-longer run with
-    the same seed.  One stdout line names the reference used.  The HV
-    reference point is the initial population's per-objective maximum
-    x1.1.  CSV schema: ``generation,HV,GD,IGD,spacing``; the full optimizer
-    history (including best-sum and feasible counts) goes to
-    ``nsga2_history.csv`` alongside it.
+    (:func:`exact_front`), the one reference; the config's
+    `MAX_GRID_VECTORS` keeps that grid enumerable, and one stdout line
+    gives the front's size.  The HV reference point is the initial
+    population's per-objective maximum x1.1.  CSV schema:
+    ``generation,HV,GD,IGD,spacing``; the full optimizer history (including
+    best-sum and feasible counts) goes to ``nsga2_history.csv`` alongside
+    it.
     """
     out = Path(out_dir if out_dir is not None else config.output_dir)
     speeds = config.scenario.lane_speeds
@@ -256,15 +222,8 @@ def run_fig3_metrics(config: ExperimentConfig,
     seed = point_seed(config.seed, _FIG3_STREAM)
     ga = replace(config.ga, rng_seed=seed, threshold=threshold)
     try:
-        if (bounds[1] - bounds[0] + 1) ** len(speeds) <= EXACT_GRID_CAP:
-            source = "exact grid"
-            reference_front = exact_front(evaluator, bounds, len(speeds))
-        else:
-            source = "5x proxy run"
-            reference = run(replace(ga, max_generations=5 * ga.max_generations),
-                            bounds, len(speeds), evaluator)
-            reference_front = nondominated(reference.objectives)
-        print(f"reference front: {source}, {len(reference_front)} points")
+        reference_front = exact_front(evaluator, bounds, len(speeds))
+        print(f"reference front: exact grid, {len(reference_front)} points")
         result = run(ga, bounds, len(speeds), evaluator,
                      reference_front=reference_front)
     except Exception as exc:

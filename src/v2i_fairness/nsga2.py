@@ -24,6 +24,7 @@ An empty feasible set falls back to the unfiltered sum-minimiser and says so.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .moo_metrics import MetricContext, scan_order
+from .sps_analytics import _is_int
 from .util import as_rng, atomic_write_text
 
 Genome = tuple[int, ...]
@@ -47,17 +49,17 @@ class GAConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (not isinstance(self.population_size, int) or self.population_size < 4
+        if (not _is_int(self.population_size) or self.population_size < 4
                 or self.population_size % 2):
             raise ConfigError("ga.population_size", "must be an even integer >= 4")
-        if not isinstance(self.max_generations, int) or self.max_generations < 0:
+        if not _is_int(self.max_generations) or self.max_generations < 0:
             raise ConfigError("ga.max_generations", "must be an integer >= 0")
         for key in ("crossover_rate", "mutation_rate"):
             val = getattr(self, key)
             if val is not None and not (0.0 <= val <= 1.0):
                 raise ConfigError(f"ga.{key}", "must lie in [0, 1]")
-        if self.threshold <= 0:
-            raise ConfigError("ga.threshold", "must be positive")
+        if not (0 < self.threshold < math.inf):
+            raise ConfigError("ga.threshold", "must be finite and positive")
 
 
 # operators ------------------------------------------------------------------

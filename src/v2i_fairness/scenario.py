@@ -9,6 +9,7 @@ point (R/2, 0, 0), so the geometry enters it as one RSU distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,10 @@ class ScenarioConfig:
     rsu_position: tuple[float, float, float] = (250.0, 10.0, 5.0)  # m
 
     def __post_init__(self):
-        if self.coverage_range <= 0:
-            raise ConfigError("scenario.coverage_range", "must be > 0")
+        if not 0 < self.coverage_range < math.inf:
+            raise ConfigError("scenario.coverage_range", "must be finite and > 0")
+        if not all(math.isfinite(c) for c in self.rsu_position):
+            raise ConfigError("scenario.rsu_position", "coordinates must be finite")
         if len(self.lane_speeds) < 1:
             raise ConfigError("scenario.lane_speeds", "need at least one lane")
         if self.speed_min <= 0 or self.speed_max < self.speed_min:

@@ -44,26 +44,26 @@ COLLISION_MODELS = ("bounded-pool", "uniform-selection")
 # slot bookkeeping -----------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def slots_per_rri(numerology: int, rri: float) -> int:
     """Number of slots in one reservation period: 1000 * 2^mu * rri.
 
     The slot duration is 2^(-mu) ms, so an RRI of `rri` seconds spans
     1000 * 2^mu * rri slots; that count must come out a positive integer.
     """
-    if numerology < 0 or numerology != int(numerology):
+    if not (_is_int(numerology) and numerology >= 0):
         raise ConfigError("sps.numerology", "must be a non-negative integer")
-    if rri <= 0:
-        raise ConfigError("sps.rri", "must be positive")
-    raw = 1000.0 * 2 ** int(numerology) * rri
+    if not (0 < rri < math.inf):
+        raise ConfigError("sps.rri", "must be finite and positive")
+    raw = 1000.0 * 2 ** numerology * rri
     rounded = round(raw)
     if rounded < 1 or abs(raw - rounded) > 1e-6:
         raise ConfigError("sps.rri",
                           f"1000*2^mu*rri = {raw} is not a positive integer slot count")
     return int(rounded)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,10 @@ class SpsParams:
 
     def __post_init__(self):
         slots_per_rri(self.numerology, self.rri)  # validates rri/mu jointly
-        if self.num_subchannels < 1 or self.num_subchannels != int(self.num_subchannels):
+        if not (_is_int(self.num_subchannels) and self.num_subchannels >= 1):
             raise ConfigError("sps.num_subchannels", "must be an integer >= 1")
         w_lb, w_ub = self.window_bounds
-        if not (isinstance(w_lb, int) and isinstance(w_ub, int) and 0 <= w_lb <= w_ub):
+        if not (_is_int(w_lb) and _is_int(w_ub) and 0 <= w_lb <= w_ub):
             raise ConfigError("sps.window_bounds", "need integers 0 <= w_LB <= w_UB")
         if not (_is_int(self.selection_window)
                 and w_lb <= self.selection_window <= w_ub):

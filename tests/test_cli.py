@@ -116,6 +116,25 @@ def test_oracle_rejects_budget_below_one_before_writing(tmp_path, capsys,
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("verb", ["validate-config", "fig3", "fig4"])
+def test_a_window_grid_past_the_limit_exits_2_before_writing(tmp_path, capsys,
+                                                             verb):
+    path = tmp_path / "six_lanes.yaml"
+    path.write_text(yaml.safe_dump({
+        "scenario": {"lane_speeds": [20.0, 22.0, 24.0, 26.0, 28.0, 30.0]},
+        "ga": {"population_size": 8, "max_generations": 1},
+        "sweep": [25.0],
+    }), encoding="utf-8")
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["key"] == "sps.window_bounds"
+    assert "16777216" in payload["message"]
+    assert "6 lanes" in payload["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_fig4_with_a_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["fig4", "--seed", "-1", "--out", str(out)]) == 2

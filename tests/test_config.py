@@ -5,6 +5,7 @@ import yaml
 
 from v2i_fairness.config import (
     ARTIFACT_VERSION,
+    MAX_GRID_VECTORS,
     ExperimentConfig,
     effective_dict,
     load_config,
@@ -96,12 +97,36 @@ def test_partial_top_level_override(tmp_path):
     ({"sps": {"rc_range": [1.5, 3]}}, "sps.rc_range"),
     ({"sps": {"rc_range": [1, 3.0]}}, "sps.rc_range"),
     ({"sps": {"rc_range": [True, 3]}}, "sps.rc_range"),
+    ({"sps": {"num_subchannels": 2.0}}, "sps.num_subchannels"),
+    ({"sps": {"numerology": True}}, "sps.numerology"),
+    ({"sps": {"window_bounds": [False, 15]}}, "sps.window_bounds"),
+    ({"baseline_window": True}, "baseline_window"),
+    ({"ga": {"max_generations": True}}, "ga.max_generations"),
+    ({"sps": {"rri": float("inf")}}, "sps.rri"),
+    ({"sps": {"rri": float("nan")}}, "sps.rri"),
+    ({"ga": {"threshold": float("nan")}}, "ga.threshold"),
+    ({"sweep": [float("nan")]}, "sweep"),
+    ({"channel": {"tx_power": float("inf")}}, "channel.tx_power"),
+    ({"channel": {"noise_power": float("inf")}}, "channel.noise_power"),
+    ({"channel": {"path_loss_exponent": float("nan")}},
+     "channel.path_loss_exponent"),
+    ({"scenario": {"coverage_range": float("inf")}}, "scenario.coverage_range"),
+    ({"scenario": {"rsu_position": [250.0, float("nan"), 5.0]}},
+     "scenario.rsu_position"),
 ])
 def test_invalid_configs_name_the_offending_key(tmp_path, doc, key_fragment):
     path = write_yaml(tmp_path, doc)
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert key_fragment in str(err.value)
+
+
+def test_a_window_grid_of_exactly_the_limit_loads(tmp_path):
+    path = write_yaml(tmp_path, {
+        "scenario": {"lane_speeds": [21.0, 23.0, 25.0, 27.0, 29.0]},
+        "sweep": [25.0]})
+    config = load_config(path)
+    assert 16 ** config.scenario.num_lanes == MAX_GRID_VECTORS
 
 
 def test_sweep_checks_constructed_lane_speeds(tmp_path):
